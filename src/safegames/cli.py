@@ -93,6 +93,32 @@ def write_q_csv(path, q: np.ndarray) -> None:
                     fh.write(f"{x},{u},{a},{q[x, u, a]:.12g}\n")
 
 
+def read_q_csv(path, shape) -> np.ndarray:
+    """Load a table written by ``write_q_csv``; every (x, u, a) cell of
+    ``shape`` must appear exactly once."""
+    try:
+        table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
+    if table.shape[1:] != (4,):
+        raise SchemaError(f"{path}: rows must be x,u,a,value")
+    cells, values = table[:, :3], table[:, 3]
+    if not np.isfinite(table).all():
+        raise SchemaError(f"{path}: non-finite entry")
+    if (cells != np.floor(cells)).any():
+        raise SchemaError(f"{path}: cell indices must be integers")
+    if ((cells < 0) | (cells >= shape)).any():
+        raise SchemaError(f"{path}: cell index outside the table shape {shape}")
+    flat = np.ravel_multi_index(cells.astype(np.int64).T, shape)
+    size, covered = int(np.prod(shape)), np.unique(flat).size
+    if flat.size != size or covered != size:
+        raise SchemaError(f"{path}: expected each of the {size} cells once, "
+                          f"got {flat.size} rows covering {covered}")
+    q = np.empty(size)
+    q[flat] = values
+    return q.reshape(shape)
+
+
 def write_trace_csv(path, trace: dpi.DpiTrace, n_states: int) -> None:
     lp_cols = ",".join(f"lp_value_{x}" for x in range(n_states))
     with open(path, "w", encoding="utf-8") as fh:
@@ -185,7 +211,7 @@ def _resolve_game(args) -> Tuple[GameSpec, Optional[Tuple[int, int]]]:
         goal = _parse_cell(args.goal) if args.goal else (width - 1, height - 1)
         params = envs.GridworldParams(
             width=width, height=height, hazard_cells=hazards,
-            goal_cell=goal, adversary_strength=args.adv, seed=args.seed)
+            goal_cell=goal, adversary_strength=args.adv)
         spec = envs.gridworld(params)
         grid_shape = (width, height)
     overrides = {}
@@ -204,7 +230,7 @@ def _resolve_game(args) -> Tuple[GameSpec, Optional[Tuple[int, int]]]:
 def cmd_solve(args) -> int:
     spec, grid_shape = _resolve_game(args)
     cfg = dpi.DpiConfig(m=args.m, n=args.n, tol=args.tol)
-    result = dpi.run(spec, cfg, n_jobs=args.threads, max_iter=args.max_iter)
+    result = dpi.run(spec, cfg, max_iter=args.max_iter)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -223,6 +249,9 @@ def cmd_solve(args) -> int:
     write_q_csv(out / "q.csv", result.q)
     write_pgm(out / "set.pgm", result.invariant_set, grid_shape)
     write_trace_csv(out / "trace.csv", result.trace, spec.n_states)
+    if result.trace.budget_exhausted:
+        print(f"warning: outer loop ran all {cfg.m} steps without converging",
+              file=sys.stderr)
     print(f"solved: {result.invariant_set.member_count()}/{spec.n_states} "
           f"member states, {len(result.trace.steps)} outer steps",
           file=sys.stderr)
@@ -231,12 +260,7 @@ def cmd_solve(args) -> int:
 
 def cmd_verify(args) -> int:
     spec, _ = _resolve_game(args)
-    q_h = None
-    if args.qh:
-        table = np.loadtxt(args.qh, delimiter=",", skiprows=1)
-        q_h = np.zeros(spec.shape)
-        for x, u, a, value in table.reshape(-1, 4):
-            q_h[int(x), int(u), int(a)] = value
+    q_h = read_q_csv(args.qh, spec.shape) if args.qh else None
     enum_mode = "force" if args.enum else "auto"
     results = verify.run_all(spec, pairs=args.pairs, seed=args.seed,
                              enum_mode=enum_mode, q_h=q_h, tol=args.tol)
@@ -285,8 +309,6 @@ def build_parser(config=None) -> argparse.ArgumentParser:
     p_solve.add_argument("--tol", type=float, default=1e-10)
     p_solve.add_argument("--max-iter", type=int, default=safety.DEFAULT_MAX_ITER,
                          help="sweep budget per fixed-point solve")
-    p_solve.add_argument("--threads", type=int, default=1,
-                         help="worker threads for per-state matrix games")
     p_solve.set_defaults(func=cmd_solve)
 
     p_verify = sub.add_parser("verify", help="run oracle cross-checks")
@@ -311,9 +333,13 @@ def build_parser(config=None) -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     if config:
-        for p in (p_solve, p_verify, p_sweep):
-            known = {action.dest for action in p._actions}
-            p.set_defaults(**{k: v for k, v in config.items() if k in known})
+        subparsers = (p_solve, p_verify, p_sweep)
+        known = [{action.dest for action in p._actions} for p in subparsers]
+        unknown = sorted(set(config).difference(*known))
+        if unknown:
+            raise SchemaError(f"unknown config keys: {', '.join(unknown)}")
+        for p, dests in zip(subparsers, known):
+            p.set_defaults(**{k: v for k, v in config.items() if k in dests})
     return parser
 
 
@@ -337,11 +363,10 @@ def _load_config(argv):
 
 def main(argv=None) -> int:
     try:
-        config = _load_config(argv)
+        parser = build_parser(_load_config(argv))
     except (SchemaError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    parser = build_parser(config)
     args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -16,7 +16,6 @@ table must satisfy the constrained fixed-point equation.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -34,15 +33,14 @@ class DpiConfig:
     m: int = 30           # outer iterations (budget; early exit on convergence)
     n: int = 2            # safety rounds per outer iteration
     tol: float = 1e-10
-    warm_start: bool = True
 
 
 @dataclass
 class DpiStep:
     """Certification record for one outer iteration."""
 
-    safety_q: np.ndarray       # snapshot after the inner safety rounds
-    safety_delta: float        # sup-norm change vs the previous snapshot
+    safety_delta: float        # sup-norm change of the safety table
+    safety_decrease: float     # largest pointwise decrease of the safety table
     member_count: int
     feasible: bool
     task_residual: float       # fixed-point residual of the task evaluation
@@ -55,6 +53,7 @@ class DpiTrace:
     steps: List[DpiStep] = field(default_factory=list)
     feasibility_retries: int = 0
     final_constrained_residual: float = np.nan
+    budget_exhausted: bool = False  # all m steps ran without meeting the exit test
 
     def member_counts(self) -> List[int]:
         return [s.member_count for s in self.steps]
@@ -75,7 +74,7 @@ class ConvergenceReport:
     converged: bool            # last safety and task deltas at or below tol
     last_safety_delta: float
     last_task_delta: float
-    monotone_values: bool      # safety snapshots pointwise non-decreasing
+    monotone_values: bool      # safety tables pointwise non-decreasing
     monotone_members: bool     # member counts non-decreasing
     constrained_residual: float
     constrained_ok: bool
@@ -90,22 +89,12 @@ class ConvergenceReport:
 
 
 def _improve_task_policy(spec: GameSpec, q: np.ndarray, inv: safety.InvariantSet,
-                         pi_h: DetPolicy, n_jobs: int = 1):
+                         pi_h: DetPolicy):
     """Matrix-game strategies on member states, safety point mass elsewhere."""
     prob = np.zeros((spec.n_states, spec.n_u))
     lp_values = np.full(spec.n_states, np.nan)
-    members = [int(x) for x in np.flatnonzero(inv.member)]
-
-    def solve_state(x):
-        return matrix_game.solve(matrix_game.restricted(q[x], inv.admissible[x]))
-
-    if n_jobs > 1 and len(members) > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            solutions = list(pool.map(solve_state, members))
-    else:
-        solutions = [solve_state(x) for x in members]
-
-    for x, sol in zip(members, solutions):
+    for x in np.flatnonzero(inv.member):
+        sol = matrix_game.solve(matrix_game.restricted(q[x], inv.admissible[x]))
         prob[x] = sol.strategy
         lp_values[x] = sol.value
     for x in np.flatnonzero(~inv.member):
@@ -113,15 +102,14 @@ def _improve_task_policy(spec: GameSpec, q: np.ndarray, inv: safety.InvariantSet
     return MixedPolicy(prob), lp_values
 
 
-def run(spec: GameSpec, cfg: DpiConfig = DpiConfig(), threshold: float = 0.0,
-        retry_budget: int = FEASIBILITY_RETRY_BUDGET, n_jobs: int = 1,
+def run(spec: GameSpec, cfg: DpiConfig = DpiConfig(),
         max_iter: int = safety.DEFAULT_MAX_ITER) -> DpiResult:
     """Run the dual iteration and return the final artifacts plus the trace.
 
     Raises InfeasibleGame when the feasibility gate (some state must reach a
-    nonnegative worst-case safety value) still fails after ``retry_budget``
-    extra safety rounds, and propagates MaxIterExceeded from the fixed-point
-    solves.
+    nonnegative worst-case safety value) still fails after
+    FEASIBILITY_RETRY_BUDGET extra safety rounds, and propagates
+    MaxIterExceeded from the fixed-point solves.
     """
     if cfg.m < 1 or cfg.n < 1:
         raise ValueError("m and n must be at least 1")
@@ -143,8 +131,8 @@ def run(spec: GameSpec, cfg: DpiConfig = DpiConfig(), threshold: float = 0.0,
     task_exit = max(cfg.tol, spec.gamma * cfg.tol / (1.0 - spec.gamma))
 
     def safety_round(q_h):
-        res = safety.evaluate_policy(spec, pi_h, cfg.tol, max_iter,
-                                     q0=q_h if cfg.warm_start else None)
+        res = safety.solve(spec, safety.policy_backup, pi_h, tol=cfg.tol,
+                           max_iter=max_iter, q0=q_h)
         return res, safety.improve_policy(res.q)
 
     for _ in range(cfg.m):
@@ -152,32 +140,35 @@ def run(spec: GameSpec, cfg: DpiConfig = DpiConfig(), threshold: float = 0.0,
             res_h, pi_h = safety_round(q_h)
             q_h = res_h.q
 
-        feasible = safety.is_feasible(q_h, threshold)
-        while not feasible and trace.feasibility_retries < retry_budget:
+        feasible = safety.is_feasible(q_h)
+        while not feasible and trace.feasibility_retries < FEASIBILITY_RETRY_BUDGET:
             trace.feasibility_retries += 1
             res_h, pi_h = safety_round(q_h)
             q_h = res_h.q
-            feasible = safety.is_feasible(q_h, threshold)
+            feasible = safety.is_feasible(q_h)
         if not feasible:
             raise InfeasibleGame(
                 "no state admits persistent safety: "
                 "max max min of the optimal safety table is negative")
 
-        inv = safety.extract_invariant_set(q_h, threshold,
-                                           value_error=res_h.error_bound)
-        res_q = perf.evaluate_policy_minimax(spec, pi, cfg.tol, max_iter,
-                                             q0=q if cfg.warm_start else None)
+        inv = safety.extract_invariant_set(q_h, value_error=res_h.error_bound)
+        res_q = perf.solve(spec, perf.minimax_policy_backup, pi, tol=cfg.tol,
+                           max_iter=max_iter, q0=q)
         q = res_q.q
-        pi, lp_values = _improve_task_policy(spec, q, inv, pi_h, n_jobs)
+        pi, lp_values = _improve_task_policy(spec, q, inv, pi_h)
 
-        safety_delta = (np.inf if prev_snapshot is None
-                        else float(np.abs(q_h - prev_snapshot).max()))
+        if prev_snapshot is None:
+            safety_delta, safety_decrease = np.inf, 0.0
+        else:
+            change = q_h - prev_snapshot
+            safety_delta = float(np.abs(change).max())
+            safety_decrease = max(0.0, -float(change.min()))
         task_delta = (np.inf if prev_task is None
                       else float(np.abs(q - prev_task).max()))
-        prev_snapshot = q_h.copy()
-        prev_task = q.copy()
+        # Solves return fresh arrays, so holding references is enough.
+        prev_snapshot, prev_task = q_h, q
         trace.steps.append(DpiStep(
-            safety_q=q_h.copy(), safety_delta=safety_delta,
+            safety_delta=safety_delta, safety_decrease=safety_decrease,
             member_count=inv.member_count(), feasible=feasible,
             task_residual=res_q.residual, task_delta=task_delta,
             lp_values=lp_values))
@@ -189,18 +180,20 @@ def run(spec: GameSpec, cfg: DpiConfig = DpiConfig(), threshold: float = 0.0,
         if (policies_stable and safety_delta <= safety_exit
                 and task_delta <= task_exit):
             break
+    else:
+        trace.budget_exhausted = True
 
     # Re-evaluate both tables so the returned values belong to the returned
     # policies (the loop's last evaluation predates its last improvement).
     # The safety table restarts cold: warm starts keep a decayed remnant of
     # earlier policies' pessimism, which pushes exact-zero boundary values a
     # few 1e-9 below zero and misclassifies them.
-    res_h = safety.evaluate_policy(spec, pi_h, cfg.tol, max_iter)
+    res_h = safety.solve(spec, safety.policy_backup, pi_h, tol=cfg.tol,
+                         max_iter=max_iter)
     q_h = res_h.q
-    q = perf.evaluate_policy_minimax(spec, pi, cfg.tol, max_iter,
-                                     q0=q if cfg.warm_start else None).q
-    inv = safety.extract_invariant_set(q_h, threshold,
-                                       value_error=res_h.error_bound)
+    q = perf.solve(spec, perf.minimax_policy_backup, pi, tol=cfg.tol,
+                   max_iter=max_iter, q0=q).q
+    inv = safety.extract_invariant_set(q_h, value_error=res_h.error_bound)
 
     cells = inv.admissible[:, :, None] & inv.member[:, None, None]
     try:
@@ -219,18 +212,14 @@ def run(spec: GameSpec, cfg: DpiConfig = DpiConfig(), threshold: float = 0.0,
 
 def check_convergence(trace: DpiTrace, tol: float) -> ConvergenceReport:
     """Audit a trace: convergence of the last step, monotonicity of the
-    safety snapshots and member counts, and the terminal constrained
+    safety tables and member counts, and the terminal constrained
     fixed-point residual."""
     if not trace.steps:
         raise ValueError("trace is empty")
     last = trace.steps[-1]
-    monotone_values = True
-    monotone_members = True
-    for prev, cur in zip(trace.steps, trace.steps[1:]):
-        if float((cur.safety_q - prev.safety_q).min()) < -tol:
-            monotone_values = False
-        if cur.member_count < prev.member_count:
-            monotone_members = False
+    monotone_values = all(s.safety_decrease <= tol for s in trace.steps)
+    monotone_members = all(cur.member_count >= prev.member_count
+                           for prev, cur in zip(trace.steps, trace.steps[1:]))
     residual = trace.final_constrained_residual
     return ConvergenceReport(
         converged=bool(last.safety_delta <= tol and last.task_delta <= tol),

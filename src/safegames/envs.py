@@ -62,7 +62,6 @@ class GridworldParams:
     hazard_cells: Tuple[Tuple[int, int], ...] = ((0, 0),)
     goal_cell: Tuple[int, int] = (3, 3)
     adversary_strength: int = 1  # 0: pushes have no effect, 1: push one cell
-    seed: int = 0  # kept for interface parity with random games
     gamma: float = 0.95
     gamma_h: float = 0.99
 

@@ -15,7 +15,7 @@ fixed point the dual iteration converges to.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -73,36 +73,20 @@ def constrained_backup(q: np.ndarray, spec: GameSpec, inv: InvariantSet) -> np.n
     return out
 
 
-def evaluate_policy(spec: GameSpec, pi: MixedPolicy, tol: float = DEFAULT_TOL,
-                    max_iter: int = DEFAULT_MAX_ITER,
-                    q0: Optional[np.ndarray] = None) -> FixedPointResult:
-    """Fixed point of ``policy_backup`` (adversary reacts per action)."""
+def solve(spec: GameSpec, backup: Callable[..., np.ndarray], *args,
+          tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
+          q0: Optional[np.ndarray] = None) -> FixedPointResult:
+    """Fixed point of ``backup(q, spec, *args)`` at discount ``gamma``,
+    starting from ``q0`` (zeros by default).
+
+    For example ``solve(spec, minimax_policy_backup, pi)`` evaluates a mixed
+    policy under simultaneous play and ``solve(spec, constrained_backup,
+    inv)`` is the constrained fixed point on an invariant set.
+    """
     if q0 is None:
         q0 = np.zeros(spec.shape)
-    return fixed_point(lambda q: policy_backup(q, spec, pi), q0,
-                       spec.gamma, tol, max_iter)
-
-
-def evaluate_policy_minimax(spec: GameSpec, pi: MixedPolicy,
-                            tol: float = DEFAULT_TOL,
-                            max_iter: int = DEFAULT_MAX_ITER,
-                            q0: Optional[np.ndarray] = None) -> FixedPointResult:
-    """Fixed point of ``minimax_policy_backup`` (simultaneous play)."""
-    if q0 is None:
-        q0 = np.zeros(spec.shape)
-    return fixed_point(lambda q: minimax_policy_backup(q, spec, pi), q0,
-                       spec.gamma, tol, max_iter)
-
-
-def evaluate_constrained(spec: GameSpec, inv: InvariantSet,
-                         tol: float = DEFAULT_TOL,
-                         max_iter: int = DEFAULT_MAX_ITER,
-                         q0: Optional[np.ndarray] = None) -> FixedPointResult:
-    """Fixed point of the constrained backup on a given invariant set."""
-    if q0 is None:
-        q0 = np.zeros(spec.shape)
-    return fixed_point(lambda q: constrained_backup(q, spec, inv), q0,
-                       spec.gamma, tol, max_iter)
+    return fixed_point(lambda q: backup(q, spec, *args), q0, spec.gamma,
+                       tol, max_iter)
 
 
 def state_value(q: np.ndarray, pi: MixedPolicy) -> np.ndarray:

@@ -28,45 +28,31 @@ DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 200_000
 
 
+def _backup(cont: np.ndarray, spec: GameSpec) -> np.ndarray:
+    """Shared tail of every safety backup, given the continuation value of
+    each state: discount toward the running minimum of h at x' = f(x, u, a)."""
+    h = spec.constraint[:, None, None]
+    w = cont[spec.transition]
+    return (1.0 - spec.gamma_h) * h + spec.gamma_h * np.minimum(h, w)
+
+
 def pair_backup(q: np.ndarray, spec: GameSpec,
                 pi_h: DetPolicy, mu_h: DetPolicy) -> np.ndarray:
     """Backup for a fixed protagonist/adversary pair."""
     idx = np.arange(spec.n_states)
     cont = q[idx, pi_h.action, mu_h.action]  # value at (x', pi(x'), mu(x'))
-    h = spec.constraint[:, None, None]
-    w = cont[spec.transition]
-    return (1.0 - spec.gamma_h) * h + spec.gamma_h * np.minimum(h, w)
+    return _backup(cont, spec)
 
 
 def policy_backup(q: np.ndarray, spec: GameSpec, pi_h: DetPolicy) -> np.ndarray:
     """Backup for a fixed protagonist against a worst-case adversary."""
     idx = np.arange(spec.n_states)
-    cont = q[idx, pi_h.action, :].min(axis=1)
-    h = spec.constraint[:, None, None]
-    w = cont[spec.transition]
-    return (1.0 - spec.gamma_h) * h + spec.gamma_h * np.minimum(h, w)
+    return _backup(q[idx, pi_h.action, :].min(axis=1), spec)
 
 
 def optimal_backup(q: np.ndarray, spec: GameSpec) -> np.ndarray:
     """Max-min backup; its fixed point scores the best achievable safety."""
-    cont = q.min(axis=2).max(axis=1)
-    h = spec.constraint[:, None, None]
-    w = cont[spec.transition]
-    return (1.0 - spec.gamma_h) * h + spec.gamma_h * np.minimum(h, w)
-
-
-def support_backup(q: np.ndarray, spec: GameSpec, support: np.ndarray) -> np.ndarray:
-    """Backup for a stochastic protagonist described by its support mask.
-
-    The safety value of a mixed policy is the worst case over realizable
-    trajectories, so the continuation takes the minimum over supported
-    actions (and all adversary actions) at the successor state.
-    """
-    row_min = q.min(axis=2)
-    cont = np.where(support, row_min, np.inf).min(axis=1)
-    h = spec.constraint[:, None, None]
-    w = cont[spec.transition]
-    return (1.0 - spec.gamma_h) * h + spec.gamma_h * np.minimum(h, w)
+    return _backup(q.min(axis=2).max(axis=1), spec)
 
 
 @dataclass(frozen=True)
@@ -102,38 +88,21 @@ def fixed_point(op: Callable[[np.ndarray], np.ndarray], q0: np.ndarray,
         residual=residual, iterations=max_iter)
 
 
-def evaluate_policy(spec: GameSpec, pi_h: DetPolicy, tol: float = DEFAULT_TOL,
-                    max_iter: int = DEFAULT_MAX_ITER,
-                    q0: Optional[np.ndarray] = None) -> FixedPointResult:
-    """Solve for the safety table of a deterministic protagonist.
+def solve(spec: GameSpec, backup: Callable[..., np.ndarray], *args,
+          tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
+          q0: Optional[np.ndarray] = None) -> FixedPointResult:
+    """Fixed point of ``backup(q, spec, *args)`` at discount ``gamma_h``.
 
-    ``q0`` warm-starts the iteration; successive evaluations inside a policy
-    iteration loop start close to their fixed points.
+    ``q0`` warm-starts the iteration (zeros by default); successive
+    evaluations inside a policy iteration loop start close to their fixed
+    points.  For example ``solve(spec, optimal_backup)`` is the max-min
+    safety table and ``solve(spec, policy_backup, pi_h)`` that of a
+    deterministic protagonist.
     """
     if q0 is None:
         q0 = np.zeros(spec.shape)
-    return fixed_point(lambda q: policy_backup(q, spec, pi_h), q0,
-                       spec.gamma_h, tol, max_iter)
-
-
-def evaluate_support(spec: GameSpec, support: np.ndarray,
-                     tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
-                     q0: Optional[np.ndarray] = None) -> FixedPointResult:
-    """Solve for the safety table of a stochastic protagonist via its support."""
-    if q0 is None:
-        q0 = np.zeros(spec.shape)
-    return fixed_point(lambda q: support_backup(q, spec, support), q0,
-                       spec.gamma_h, tol, max_iter)
-
-
-def solve_optimal(spec: GameSpec, tol: float = DEFAULT_TOL,
-                  max_iter: int = DEFAULT_MAX_ITER,
-                  q0: Optional[np.ndarray] = None) -> FixedPointResult:
-    """Solve the max-min safety fixed point directly."""
-    if q0 is None:
-        q0 = np.zeros(spec.shape)
-    return fixed_point(lambda q: optimal_backup(q, spec), q0,
-                       spec.gamma_h, tol, max_iter)
+    return fixed_point(lambda q: backup(q, spec, *args), q0, spec.gamma_h,
+                       tol, max_iter)
 
 
 def improve_policy(q: np.ndarray) -> DetPolicy:

@@ -107,13 +107,13 @@ def set_inclusion_check(spec: GameSpec, n_policies: int = 10, seed: int = 0,
                         tol: float = 1e-10) -> PropertyResult:
     """Policy sets nest inside the optimal set inside the constraint set."""
     rng = np.random.default_rng(seed)
-    q_star = safety.solve_optimal(spec, tol).q
+    q_star = safety.solve(spec, safety.optimal_backup, tol=tol).q
     optimal = safety.extract_invariant_set(q_star).member
     in_constraint = spec.constraint >= 0.0
     ok = bool((~optimal | in_constraint).all())
     for _ in range(n_policies):
         pi_h = DetPolicy(rng.integers(0, spec.n_u, spec.n_states), PROTAGONIST)
-        q_pi = safety.evaluate_policy(spec, pi_h, tol).q
+        q_pi = safety.solve(spec, safety.policy_backup, pi_h, tol=tol).q
         member = safety.extract_invariant_set(q_pi).member
         ok = ok and bool((~member | optimal).all())
     return PropertyResult(
@@ -129,7 +129,7 @@ def sign_certification_check(spec: GameSpec, enum_mode: str = "auto",
     undiscounted classification on every non-ambiguous state."""
     if q_h is None:
         strict = dataclasses.replace(spec, gamma_h=CERTIFICATION_GAMMA)
-        res = safety.solve_optimal(strict, tol)
+        res = safety.solve(strict, safety.optimal_backup, tol=tol)
         inv = safety.extract_invariant_set(res.q, value_error=res.error_bound)
     else:
         inv = safety.extract_invariant_set(np.asarray(q_h, dtype=np.float64))
@@ -154,7 +154,7 @@ def sign_certification_check(spec: GameSpec, enum_mode: str = "auto",
 
 def forward_invariance_check(spec: GameSpec, tol: float = 1e-10) -> PropertyResult:
     """No admissible action may leave the member set under any adversary."""
-    q_star = safety.solve_optimal(spec, tol).q
+    q_star = safety.solve(spec, safety.optimal_backup, tol=tol).q
     inv = safety.extract_invariant_set(q_star)
     violations, explored = oracle.find_invariance_violations(spec, inv)
     return PropertyResult(
@@ -165,11 +165,11 @@ def forward_invariance_check(spec: GameSpec, tol: float = 1e-10) -> PropertyResu
 def induced_agreement_check(spec: GameSpec, tol: float = 1e-10,
                             atol: float = 1e-7) -> PropertyResult:
     """Constrained fixed point must match the standalone induced-game solve."""
-    q_star = safety.solve_optimal(spec, tol).q
+    q_star = safety.solve(spec, safety.optimal_backup, tol=tol).q
     inv = safety.extract_invariant_set(q_star)
     if not inv.member.any():
         return PropertyResult("induced_agreement", True, "no member states")
-    engine = perf.evaluate_constrained(spec, inv, tol).q
+    engine = perf.solve(spec, perf.constrained_backup, inv, tol=tol).q
     independent = oracle.solve_induced_game(spec, inv, tol)
     cells = inv.member[:, None, None] & inv.admissible[:, :, None]
     gap = float(np.abs((engine - independent)[

@@ -97,7 +97,7 @@ def test_criterion_3_sign_certification_against_enum():
     for seed in range(20):
         spec = random_game(RandomGameParams(n_states=4, n_u=2, n_a=2, seed=seed))
         strict = dataclasses.replace(spec, gamma_h=0.999)
-        res = safety.solve_optimal(strict, tol=1e-10)
+        res = safety.solve(strict, safety.optimal_backup, tol=1e-10)
         inv = safety.extract_invariant_set(res.q, value_error=res.error_bound)
         enum = oracle.enumerate_optimal_safety(spec)
         truth = enum.min(axis=2).max(axis=1) >= 0.0
@@ -126,7 +126,8 @@ def _feasible_games(count=20, n_states=8, n_u=3, n_a=3):
     while len(games) < count:
         spec = random_game(RandomGameParams(
             n_states=n_states, n_u=n_u, n_a=n_a, seed=seed))
-        if safety.is_feasible(safety.solve_optimal(spec, tol=1e-8).q):
+        q_star = safety.solve(spec, safety.optimal_backup, tol=1e-8).q
+        if safety.is_feasible(q_star):
             games.append(spec)
         seed += 1
     return games
@@ -143,14 +144,13 @@ def test_criterion_5_dual_iteration_convergence(dpi_runs):
     worst_gap = worst_residual = worst_chain = 0.0
     member_drops = 0
     for spec, result in dpi_runs:
-        direct = safety.solve_optimal(spec, tol=1e-11).q
+        direct = safety.solve(spec, safety.optimal_backup, tol=1e-11).q
         worst_gap = max(worst_gap, float(np.abs(result.q_h - direct).max()))
         worst_residual = max(worst_residual,
                              result.trace.final_constrained_residual)
         steps = result.trace.steps
+        worst_chain = max([worst_chain] + [s.safety_decrease for s in steps])
         for prev, cur in zip(steps, steps[1:]):
-            worst_chain = max(worst_chain,
-                              float((prev.safety_q - cur.safety_q).max()))
             if cur.member_count < prev.member_count:
                 member_drops += 1
     ok = (worst_gap <= 1e-6 and worst_residual <= 1e-6
@@ -172,7 +172,8 @@ def test_criterion_6_forward_invariance_search(dpi_runs):
     for seed in range(25):  # larger games push the explored count past 1e4
         spec = random_game(RandomGameParams(
             n_states=40, n_u=4, n_a=4, hazard_fraction=0.2, seed=100 + seed))
-        inv = safety.extract_invariant_set(safety.solve_optimal(spec).q)
+        inv = safety.extract_invariant_set(
+            safety.solve(spec, safety.optimal_backup).q)
         violations, explored = oracle.find_invariance_violations(spec, inv)
         exits += len(violations)
         transitions += explored
@@ -214,7 +215,7 @@ def test_criterion_8_gridworld_adversary_monotonicity():
         spec = gridworld(GridworldParams(
             width=4, height=4, hazard_cells=((0, 0),), goal_cell=(3, 3),
             adversary_strength=strength))
-        res = safety.solve_optimal(spec, tol=1e-10)
+        res = safety.solve(spec, safety.optimal_backup, tol=1e-10)
         inv = safety.extract_invariant_set(res.q, value_error=res.error_bound)
         kernel = oracle.viability_kernel(spec)
         if not ((inv.member == kernel) | inv.ambiguous).all():

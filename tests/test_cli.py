@@ -157,6 +157,29 @@ def test_verify_detects_corrupted_safety_table(tmp_path, capsys):
     assert "FAIL sign_certification" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("fault", ["missing", "duplicate", "index_99",
+                                   "index_minus_1"])
+def test_verify_rejects_malformed_safety_table(tmp_path, capsys, fault):
+    cells = [[x, u, a] for x in range(16) for u in range(5) for a in range(5)]
+    if fault == "missing":
+        cells.pop()
+    elif fault == "duplicate":
+        cells[-1] = cells[0]
+    elif fault == "index_99":
+        cells[-1][0] = 99
+    else:
+        cells[-1][0] = -1
+    qh = tmp_path / "qh.csv"
+    qh.write_text("x,u,a,value\n"
+                  + "".join(f"{x},{u},{a},0.5\n" for x, u, a in cells))
+    code = cli.main(["verify", "--grid", "4x4", "--hazard", "0,0",
+                     "--pairs", "5", "--qh", str(qh)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: ") and "qh.csv" in captured.err
+    assert captured.out == ""
+
+
 def test_verify_enum_budget_exit_code(tmp_path, capsys):
     code = cli.main(["verify", "--random", "--states", "12", "--enum",
                      "--pairs", "10"])
@@ -219,6 +242,27 @@ def test_config_file_precedence(tmp_path):
     config.write_text("[1, 2]")
     assert cli.main(["--config", str(config), "solve", "--random",
                      "--out", str(out_c)]) == 1
+
+
+def test_config_rejects_keys_no_command_knows(tmp_path, capsys):
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps({"seed": 7, "threads": 2}))
+    assert cli.main(["--config", str(config), "solve", "--random",
+                     "--out", str(tmp_path / "a")]) == 1
+    assert "unknown config keys: threads" in capsys.readouterr().err
+    # a key only another subcommand uses is accepted
+    config.write_text(json.dumps({"seed": 7, "gammas": "0.9"}))
+    assert cli.main(["--config", str(config), "solve", "--random",
+                     "--out", str(tmp_path / "b")]) == 0
+
+
+def test_solve_warns_when_outer_budget_runs_out(tmp_path, capsys):
+    assert cli.main(["solve", "--random", "--seed", "2", "--m", "1",
+                     "--out", str(tmp_path / "a")]) == 0
+    assert "warning: outer loop ran all 1 steps" in capsys.readouterr().err
+    assert cli.main(["solve", "--grid", "4x4", "--hazard", "0,0",
+                     "--out", str(tmp_path / "b")]) == 0
+    assert "warning" not in capsys.readouterr().err
 
 
 def test_gamma_overrides(tmp_path):

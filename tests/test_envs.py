@@ -82,7 +82,7 @@ def test_gridworld_corner_hazard_membership():
     spec = gridworld(GridworldParams(width=4, height=4,
                                      hazard_cells=((0, 0),), goal_cell=(3, 3),
                                      adversary_strength=0))
-    res = safety.solve_optimal(spec)
+    res = safety.solve(spec, safety.optimal_backup)
     inv = safety.extract_invariant_set(res.q)
     assert inv.member_count() == 15
     assert not inv.member[0]
@@ -96,7 +96,7 @@ def test_gridworld_adversary_never_enlarges_the_set():
                 width=4, height=4, hazard_cells=(hazard,), goal_cell=(3, 3),
                 adversary_strength=strength))
             masks[strength] = safety.extract_invariant_set(
-                safety.solve_optimal(spec).q).member
+                safety.solve(spec, safety.optimal_backup).q).member
         assert (~masks[1] | masks[0]).all()  # strength 1 subset of strength 0
 
 
@@ -109,7 +109,7 @@ def test_gridworld_strong_adversary_shrinks_inner_level_set():
         spec = gridworld(GridworldParams(
             width=4, height=4, hazard_cells=((1, 1),), goal_cell=(3, 3),
             adversary_strength=strength))
-        res = safety.solve_optimal(spec)
+        res = safety.solve(spec, safety.optimal_backup)
         inv = safety.extract_invariant_set(res.q, threshold=0.5)
         counts[strength] = inv.member
     assert (~counts[1] | counts[0]).all()

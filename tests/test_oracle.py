@@ -59,7 +59,7 @@ def test_enum_positivity_matches_discounted_membership():
         enum = oracle.enumerate_optimal_safety(spec)
         truth = enum.min(axis=2).max(axis=1) >= 0
         strict = dataclasses.replace(spec, gamma_h=0.999)
-        res = safety.solve_optimal(strict)
+        res = safety.solve(strict, safety.optimal_backup)
         inv = safety.extract_invariant_set(res.q, value_error=res.error_bound)
         classified = ~inv.ambiguous
         assert ((inv.member == truth) | ~classified).all()
@@ -108,11 +108,13 @@ def test_discounted_sweep_rejects_bad_gamma(g1):
 
 
 def test_induced_game_anchors(g1, g2_rewarded):
-    inv1 = safety.extract_invariant_set(safety.solve_optimal(g1).q)
+    inv1 = safety.extract_invariant_set(
+        safety.solve(g1, safety.optimal_backup).q)
     q1 = oracle.solve_induced_game(g1, inv1)
     assert q1[0, 0, 0] == pytest.approx(1.0 / (1.0 - g1.gamma), abs=1e-8)
 
-    inv2 = safety.extract_invariant_set(safety.solve_optimal(g2_rewarded).q)
+    inv2 = safety.extract_invariant_set(
+        safety.solve(g2_rewarded, safety.optimal_backup).q)
     q2 = oracle.solve_induced_game(g2_rewarded, inv2)
     assert q2[0, 0, 0] == pytest.approx(1.0 / (1.0 - g2_rewarded.gamma),
                                         abs=1e-8)
@@ -120,9 +122,10 @@ def test_induced_game_anchors(g1, g2_rewarded):
 
 def test_induced_game_agrees_with_constrained_fixed_point():
     spec = make_random_spec(4, n_states=6, n_u=2, n_a=2)
-    inv = safety.extract_invariant_set(safety.solve_optimal(spec).q)
+    inv = safety.extract_invariant_set(
+        safety.solve(spec, safety.optimal_backup).q)
     assert inv.member.any()
-    engine = perf.evaluate_constrained(spec, inv, tol=1e-10).q
+    engine = perf.solve(spec, perf.constrained_backup, inv, tol=1e-10).q
     independent = oracle.solve_induced_game(spec, inv, tol=1e-10)
     cells = np.broadcast_to(inv.member[:, None, None]
                             & inv.admissible[:, :, None], spec.shape)
@@ -133,7 +136,8 @@ def test_invariance_search_clean_on_converged_sets():
     total = 0
     for seed in range(10):
         spec = make_random_spec(seed)
-        inv = safety.extract_invariant_set(safety.solve_optimal(spec).q)
+        inv = safety.extract_invariant_set(
+            safety.solve(spec, safety.optimal_backup).q)
         violations, explored = oracle.find_invariance_violations(spec, inv)
         assert violations == []
         total += explored

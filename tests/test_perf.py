@@ -86,7 +86,7 @@ def test_policy_eval_matching_reward(g3_matching_reward):
         if np.abs(nxt - q).max() <= 1e-13:
             break
         q = nxt
-    res = perf.evaluate_policy(spec, pi, tol=1e-13)
+    res = perf.solve(spec, perf.policy_backup, pi, tol=1e-13)
     assert np.abs(res.q - q).max() <= 1e-10
     # the adversary minimizes each action's value separately, so the
     # continuation at x0 is the mixture of per-action worst cases (both 0)
@@ -113,31 +113,36 @@ def test_minimax_backup_equals_per_action_for_point_mass(g2_rewarded):
 
 
 def test_constrained_fixed_point_g1(g1):
-    inv = safety.extract_invariant_set(safety.solve_optimal(g1).q)
-    res = perf.evaluate_constrained(g1, inv, tol=1e-12)
+    inv = safety.extract_invariant_set(
+        safety.solve(g1, safety.optimal_backup).q)
+    res = perf.solve(g1, perf.constrained_backup, inv, tol=1e-12)
     assert res.q[0, 0, 0] == pytest.approx(2.0, abs=1e-9)  # 1 / (1 - 0.5)
 
 
 def test_constrained_fixed_point_g2(g2_rewarded):
-    inv = safety.extract_invariant_set(safety.solve_optimal(g2_rewarded).q)
-    res = perf.evaluate_constrained(g2_rewarded, inv, tol=1e-12)
+    inv = safety.extract_invariant_set(
+        safety.solve(g2_rewarded, safety.optimal_backup).q)
+    res = perf.solve(g2_rewarded, perf.constrained_backup, inv, tol=1e-12)
     assert res.q[0, 0, 0] == pytest.approx(1.0 / (1.0 - g2_rewarded.gamma),
                                            abs=1e-8)
 
 
 def test_constrained_idempotent_on_member_cells():
     spec = make_random_spec(3, n_states=6, n_u=2, n_a=2)
-    inv = safety.extract_invariant_set(safety.solve_optimal(spec).q)
+    inv = safety.extract_invariant_set(
+        safety.solve(spec, safety.optimal_backup).q)
     assert inv.member.any()
-    first = perf.evaluate_constrained(spec, inv, tol=1e-11).q
-    second = perf.evaluate_constrained(spec, inv, tol=1e-11, q0=first).q
+    first = perf.solve(spec, perf.constrained_backup, inv, tol=1e-11).q
+    second = perf.solve(spec, perf.constrained_backup, inv,
+                        tol=1e-11, q0=first).q
     cells = np.broadcast_to(inv.member[:, None, None]
                             & inv.admissible[:, :, None], spec.shape)
     assert np.abs((first - second)[cells]).max() <= 1e-9
 
 
 def test_constrained_leaves_nonmember_rows_untouched(g2_rewarded):
-    inv = safety.extract_invariant_set(safety.solve_optimal(g2_rewarded).q)
+    inv = safety.extract_invariant_set(
+        safety.solve(g2_rewarded, safety.optimal_backup).q)
     q0 = np.full(g2_rewarded.shape, 7.0)
     out = perf.constrained_backup(q0, g2_rewarded, inv)
     assert (out[1] == 7.0).all()          # non-member state untouched
@@ -157,7 +162,7 @@ def test_perf_fixed_point_bound():
     for seed in range(4):
         spec = make_random_spec(seed, n_states=6, n_u=2, n_a=2)
         pi = MixedPolicy.uniform(6, 2)
-        q = perf.evaluate_policy(spec, pi).q
+        q = perf.solve(spec, perf.policy_backup, pi).q
         bound = np.abs(spec.reward).max() / (1.0 - spec.gamma)
         assert np.abs(q).max() <= bound + 1e-9
 

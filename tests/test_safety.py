@@ -61,7 +61,7 @@ def test_policy_eval_matches_plain_iteration(g3):
     pi = DetPolicy.constant(2, 0, PROTAGONIST)
     expected = _iterate_plain(lambda q: safety.policy_backup(q, g3, pi),
                               np.zeros((2, 2, 2)))
-    res = safety.evaluate_policy(g3, pi, tol=1e-12)
+    res = safety.solve(g3, safety.policy_backup, pi, tol=1e-12)
     assert np.abs(res.q - expected).max() <= 1e-10
     # one extra application stays within the reported residual
     again = safety.policy_backup(res.q, g3, pi)
@@ -69,32 +69,33 @@ def test_policy_eval_matches_plain_iteration(g3):
 
 
 def test_optimal_fixed_points_on_anchors(g1, g2, g3):
-    q1 = safety.solve_optimal(g1, tol=1e-12).q
+    q1 = safety.solve(g1, safety.optimal_backup, tol=1e-12).q
     assert np.abs(q1 - 2.0).max() <= 1e-10
 
-    q2 = safety.solve_optimal(g2, tol=1e-12).q
+    q2 = safety.solve(g2, safety.optimal_backup, tol=1e-12).q
     assert q2[0, 0, 0] == pytest.approx(1.0, abs=1e-10)
     assert q2[0, 1, 0] == pytest.approx(-0.8, abs=1e-10)
     assert q2[1, 0, 0] == pytest.approx(-1.0, abs=1e-10)
 
-    q3 = safety.solve_optimal(g3, tol=1e-12).q
+    q3 = safety.solve(g3, safety.optimal_backup, tol=1e-12).q
     assert safety.state_value(q3)[0] < 0.0  # the adversary always mismatches
 
 
 def test_fixed_point_from_zeros(g1, g2):
-    res = safety.solve_optimal(g1, tol=1e-10, q0=np.zeros((1, 1, 1)))
+    res = safety.solve(g1, safety.optimal_backup,
+                       tol=1e-10, q0=np.zeros((1, 1, 1)))
     assert res.q[0, 0, 0] == pytest.approx(2.0, abs=1e-8)
     assert res.residual <= 1e-10
     assert res.error_bound == pytest.approx(
         g1.gamma_h * res.residual / (1 - g1.gamma_h))
-    res2 = safety.solve_optimal(g2)
+    res2 = safety.solve(g2, safety.optimal_backup)
     assert res2.q[0, 1, 0] == pytest.approx(-0.8, abs=1e-8)
 
 
 def test_fixed_point_budget_exhaustion():
     spec = make_random_spec(0, hazard_fraction=0.0, gamma_h=0.999)
     with pytest.raises(MaxIterExceeded) as err:
-        safety.solve_optimal(spec, tol=1e-10, max_iter=10)
+        safety.solve(spec, safety.optimal_backup, tol=1e-10, max_iter=10)
     assert err.value.iterations == 10
     assert err.value.residual > 1e-10
 
@@ -105,7 +106,7 @@ def test_fixed_point_rejects_bad_tol(g1):
 
 
 def test_improve_policy_prefers_safe_loop(g2):
-    q = safety.solve_optimal(g2).q
+    q = safety.solve(g2, safety.optimal_backup).q
     pi = safety.improve_policy(q)
     assert pi.action[0] == 0  # value 1 beats -0.8
     assert pi.role == PROTAGONIST
@@ -120,16 +121,19 @@ def test_improve_policy_tie_breaks_low_index():
 
 
 def test_extract_invariant_set_anchors(g1, g2, g3):
-    inv1 = safety.extract_invariant_set(safety.solve_optimal(g1).q)
+    inv1 = safety.extract_invariant_set(
+        safety.solve(g1, safety.optimal_backup).q)
     assert inv1.member.tolist() == [True]
     assert inv1.admissible_actions(0).tolist() == [0]
 
-    inv2 = safety.extract_invariant_set(safety.solve_optimal(g2).q)
+    inv2 = safety.extract_invariant_set(
+        safety.solve(g2, safety.optimal_backup).q)
     assert inv2.member.tolist() == [True, False]
     assert inv2.admissible_actions(0).tolist() == [0]
     assert inv2.admissible_actions(1).tolist() == []
 
-    inv3 = safety.extract_invariant_set(safety.solve_optimal(g3).q)
+    inv3 = safety.extract_invariant_set(
+        safety.solve(g3, safety.optimal_backup).q)
     assert not inv3.member.any()
 
 
@@ -143,15 +147,15 @@ def test_boundary_ambiguity_flagging():
 
 
 def test_feasibility_anchors(g1, g2, g3):
-    assert safety.is_feasible(safety.solve_optimal(g1).q)
-    assert safety.is_feasible(safety.solve_optimal(g2).q)
-    assert not safety.is_feasible(safety.solve_optimal(g3).q)
+    assert safety.is_feasible(safety.solve(g1, safety.optimal_backup).q)
+    assert safety.is_feasible(safety.solve(g2, safety.optimal_backup).q)
+    assert not safety.is_feasible(safety.solve(g3, safety.optimal_backup).q)
 
 
 def test_fixed_point_bounded_by_constraint_range():
     for seed in range(5):
         spec = make_random_spec(seed)
-        q = safety.solve_optimal(spec).q
+        q = safety.solve(spec, safety.optimal_backup).q
         assert q.min() >= spec.constraint.min() - 1e-9
         assert q.max() <= spec.constraint.max() + 1e-9
 
@@ -195,26 +199,18 @@ def test_set_inclusion_chain():
     rng = np.random.default_rng(9)
     for seed in range(8):
         spec = make_random_spec(seed)
-        optimal = safety.extract_invariant_set(safety.solve_optimal(spec).q)
+        optimal = safety.extract_invariant_set(
+            safety.solve(spec, safety.optimal_backup).q)
         constraint_set = spec.constraint >= 0
         assert (~optimal.member | constraint_set).all()
         pi = DetPolicy(rng.integers(0, spec.n_u, spec.n_states), PROTAGONIST)
         policy_set = safety.extract_invariant_set(
-            safety.evaluate_policy(spec, pi).q)
+            safety.solve(spec, safety.policy_backup, pi).q)
         assert (~policy_set.member | optimal.member).all()
 
 
-def test_support_eval_matches_det_policy_for_point_mass(g2):
-    pi = DetPolicy.constant(2, 0, PROTAGONIST)
-    support = np.zeros((2, 2), dtype=bool)
-    support[np.arange(2), pi.action] = True
-    via_support = safety.evaluate_support(g2, support, tol=1e-12).q
-    via_policy = safety.evaluate_policy(g2, pi, tol=1e-12).q
-    assert np.abs(via_support - via_policy).max() <= 1e-10
-
-
 def test_warm_start_reuses_iterate(g2):
-    cold = safety.solve_optimal(g2, tol=1e-12)
-    warm = safety.solve_optimal(g2, tol=1e-12, q0=cold.q)
+    cold = safety.solve(g2, safety.optimal_backup, tol=1e-12)
+    warm = safety.solve(g2, safety.optimal_backup, tol=1e-12, q0=cold.q)
     assert warm.iterations <= 2
     assert np.abs(warm.q - cold.q).max() <= 1e-10
