@@ -7,10 +7,9 @@ rejected.  Q tables export as CSV with one row per (x, u, a) cell and 12
 significant digits; invariant sets render as binary PGM with 255 = member,
 128 = boundary-ambiguous, 0 = non-member.
 
-Exit codes: 0 success, 1 I/O or schema error, 2 infeasible game,
-3 iteration budget exhausted, 4 verification property failed,
-5 enumeration budget exceeded.  Diagnostics go to stderr; data goes to
-files or stdout.
+Exit codes: 0 success, 1 I/O, schema or flag-value error, 2 infeasible
+game, 3 iteration budget exhausted, 4 verification property failed.
+Diagnostics go to stderr; data goes to files or stdout.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import dpi, envs, oracle, perf, safety, verify
-from .errors import BudgetExceeded, InfeasibleGame, MaxIterExceeded
+from .errors import InfeasibleGame, MaxIterExceeded
 from .game import GameSpec, validate
 
 _REQUIRED_FIELDS = ("n_states", "n_u", "n_a", "gamma", "gamma_h",
@@ -187,6 +186,21 @@ def _parse_cell(text: str) -> Tuple[int, int]:
     return int(parts[0]), int(parts[1])
 
 
+def _generate(generator, params) -> GameSpec:
+    """Run a game generator, reporting its parameter guards as schema
+    errors."""
+    try:
+        return generator(params)
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from exc
+
+
+def _require_positive(args, *names) -> None:
+    for name in names:
+        if not getattr(args, name) > 0:
+            raise SchemaError(f"--{name.replace('_', '-')} must be positive")
+
+
 def _resolve_game(args) -> Tuple[GameSpec, Optional[Tuple[int, int]]]:
     """Build the game from CLI flags; returns the spec and, for gridworlds,
     the (width, height) used by the PGM render."""
@@ -200,7 +214,7 @@ def _resolve_game(args) -> Tuple[GameSpec, Optional[Tuple[int, int]]]:
         params = envs.RandomGameParams(
             n_states=args.states, n_u=args.nu, n_a=args.na,
             hazard_fraction=args.hazard_frac, seed=args.seed)
-        spec = envs.random_game(params)
+        spec = _generate(envs.random_game, params)
     else:
         try:
             w_text, h_text = args.grid.lower().split("x")
@@ -212,7 +226,7 @@ def _resolve_game(args) -> Tuple[GameSpec, Optional[Tuple[int, int]]]:
         params = envs.GridworldParams(
             width=width, height=height, hazard_cells=hazards,
             goal_cell=goal, adversary_strength=args.adv)
-        spec = envs.gridworld(params)
+        spec = _generate(envs.gridworld, params)
         grid_shape = (width, height)
     overrides = {}
     if args.gamma is not None:
@@ -228,6 +242,7 @@ def _resolve_game(args) -> Tuple[GameSpec, Optional[Tuple[int, int]]]:
 
 
 def cmd_solve(args) -> int:
+    _require_positive(args, "m", "n", "tol")
     spec, grid_shape = _resolve_game(args)
     cfg = dpi.DpiConfig(m=args.m, n=args.n, tol=args.tol)
     result = dpi.run(spec, cfg, max_iter=args.max_iter)
@@ -259,19 +274,30 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _require_positive(args, "pairs", "tol")
     spec, _ = _resolve_game(args)
     q_h = read_q_csv(args.qh, spec.shape) if args.qh else None
-    enum_mode = "force" if args.enum else "auto"
     results = verify.run_all(spec, pairs=args.pairs, seed=args.seed,
-                             enum_mode=enum_mode, q_h=q_h, tol=args.tol)
+                             q_h=q_h, tol=args.tol)
     for res in results:
         print(f"{'PASS' if res.passed else 'FAIL'} {res.name}: {res.detail}")
     return 0 if all(r.passed for r in results) else 4
 
 
+def _parse_gammas(text: str) -> list:
+    try:
+        gammas = [float(g) for g in text.split(",")]
+        if all(0.0 < g < 1.0 for g in gammas):
+            return gammas
+    except ValueError:
+        pass
+    raise SchemaError(f"bad --gammas {text!r}, expected comma-separated "
+                      "discounts strictly inside (0, 1)")
+
+
 def cmd_sweep(args) -> int:
+    gammas = _parse_gammas(args.gammas)
     spec, _ = _resolve_game(args)
-    gammas = [float(g) for g in args.gammas.split(",")]
     tables = oracle.discounted_sweep(spec, gammas, tol=args.tol)
     lines = ["x,u,a,gamma_h,value"]
     for gamma_h in gammas:
@@ -315,9 +341,6 @@ def build_parser(config=None) -> argparse.ArgumentParser:
     _add_source_args(p_verify)
     p_verify.add_argument("--pairs", type=int, default=200,
                           help="random pairs per operator property")
-    p_verify.add_argument("--enum", action="store_true",
-                          help="force full policy enumeration for sign "
-                               "certification (may exceed the budget)")
     p_verify.add_argument("--qh", metavar="PATH", default=None,
                           help="check a stored safety table instead of "
                                "solving one")
@@ -379,9 +402,6 @@ def main(argv=None) -> int:
     except MaxIterExceeded as exc:
         print(f"iteration budget exhausted: {exc}", file=sys.stderr)
         return 3
-    except BudgetExceeded as exc:
-        print(f"enumeration budget exceeded: {exc}", file=sys.stderr)
-        return 5
 
 
 if __name__ == "__main__":

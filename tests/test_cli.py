@@ -180,13 +180,6 @@ def test_verify_rejects_malformed_safety_table(tmp_path, capsys, fault):
     assert captured.out == ""
 
 
-def test_verify_enum_budget_exit_code(tmp_path, capsys):
-    code = cli.main(["verify", "--random", "--states", "12", "--enum",
-                     "--pairs", "10"])
-    assert code == 5
-    assert "enumeration budget exceeded" in capsys.readouterr().err
-
-
 def test_sweep_closed_form_to_stdout(tmp_path, capsys):
     path = tmp_path / "g2.json"
     data = {
@@ -250,6 +243,13 @@ def test_config_rejects_keys_no_command_knows(tmp_path, capsys):
     assert cli.main(["--config", str(config), "solve", "--random",
                      "--out", str(tmp_path / "a")]) == 1
     assert "unknown config keys: threads" in capsys.readouterr().err
+    # the removed --enum flag is unknown as a config key and as a flag
+    config.write_text(json.dumps({"enum": True}))
+    assert cli.main(["--config", str(config), "verify", "--random"]) == 1
+    assert "unknown config keys: enum" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as usage:
+        cli.main(["verify", "--random", "--enum"])
+    assert usage.value.code == 2
     # a key only another subcommand uses is accepted
     config.write_text(json.dumps({"seed": 7, "gammas": "0.9"}))
     assert cli.main(["--config", str(config), "solve", "--random",
@@ -274,3 +274,22 @@ def test_gamma_overrides(tmp_path):
     bad = cli.main(["solve", "--random", "--seed", "2", "--gamma-h", "1.5",
                     "--out", str(out)])
     assert bad == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--grid", "4x4", "--hazard", "9,9"],
+    ["solve", "--grid", "1x1"],
+    ["solve", "--random", "--states", "0"],
+    ["solve", "--random", "--hazard-frac", "1.0"],
+    ["solve", "--random", "--m", "0"],
+    ["solve", "--random", "--tol", "0"],
+    ["verify", "--random", "--tol", "-1"],
+    ["sweep", "--random", "--gammas", "abc"],
+    ["sweep", "--random", "--gammas", "1.5"],
+], ids=lambda argv: " ".join(argv))
+def test_bad_flag_values_exit_1_without_traceback(tmp_path, capsys, argv):
+    if argv[0] == "solve":
+        argv = argv + ["--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err

@@ -1,8 +1,8 @@
-import numpy as np
-import pytest
+from collections import Counter
 
-from safegames import BudgetExceeded
-from safegames import verify
+import numpy as np
+
+from safegames import oracle, perf, safety, verify
 from conftest import make_random_spec
 
 
@@ -17,16 +17,42 @@ def test_run_all_passes_on_tiny_game():
 
 
 def test_sign_certification_uses_kernel_beyond_budget():
-    spec = make_random_spec(0, n_states=12, n_u=3, n_a=3)
-    result = verify.sign_certification_check(spec, enum_mode="auto")
-    assert result.passed
-    assert "kernel" in result.detail
+    beyond = make_random_spec(0, n_states=12, n_u=3, n_a=3)
+    within = make_random_spec(2, n_states=4, n_u=2, n_a=2)
+    assert 3 ** 12 * 3 ** 12 > oracle.ENUM_BUDGET >= 2 ** 4 * 2 ** 4
+    for spec in (beyond, within):
+        result = verify.sign_certification_check(spec)
+        assert result.passed
+        assert "kernel" in result.detail
 
 
-def test_sign_certification_forced_enum_raises():
-    spec = make_random_spec(0, n_states=12, n_u=3, n_a=3)
-    with pytest.raises(BudgetExceeded):
-        verify.sign_certification_check(spec, enum_mode="force")
+def test_operator_checks_cover_the_task_backup(monkeypatch):
+    spec = make_random_spec(2, n_states=4, n_u=2, n_a=2)
+    assert verify.contraction_check(spec, pairs=5).passed
+    assert verify.monotonicity_check(spec, pairs=5).passed
+    # expanding and order-reversing, so neither property can hold
+    monkeypatch.setattr(perf, "minimax_policy_backup",
+                        lambda q, spec, pi: -2.0 * q)
+    assert not verify.contraction_check(spec, pairs=5).passed
+    assert not verify.monotonicity_check(spec, pairs=5).passed
+
+
+def test_run_all_solves_the_max_min_table_once(monkeypatch):
+    spec = make_random_spec(2, n_states=4, n_u=2, n_a=2)
+    solve = safety.solve
+    discounts = Counter()
+
+    def counting(game, backup, *args, **kwargs):
+        if backup is safety.optimal_backup:
+            discounts[game.gamma_h] += 1
+        return solve(game, backup, *args, **kwargs)
+
+    monkeypatch.setattr(verify.safety, "solve", counting)
+    verify.run_all(spec, pairs=5)
+    assert discounts == {spec.gamma_h: 1, verify.CERTIFICATION_GAMMA: 1}
+    discounts.clear()
+    verify.run_all(spec, pairs=5, q_h=np.ones(spec.shape))
+    assert discounts == {spec.gamma_h: 1}
 
 
 def test_sign_certification_rejects_corrupted_table():
