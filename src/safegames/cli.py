@@ -8,7 +8,8 @@ significant digits; invariant sets render as binary PGM with 255 = member,
 128 = boundary-ambiguous, 0 = non-member.
 
 Exit codes: 0 success, 1 I/O, schema or flag-value error, 2 infeasible
-game, 3 iteration budget exhausted, 4 verification property failed.
+game (the returned safety table has no member state), 3 iteration budget
+exhausted, 4 verification property failed.
 Diagnostics go to stderr; data goes to files or stdout.
 """
 
@@ -126,7 +127,7 @@ def write_trace_csv(path, trace: dpi.DpiTrace, n_states: int) -> None:
         for k, step in enumerate(trace.steps):
             lp = ",".join(f"{v:.12g}" for v in step.lp_values)
             fh.write(f"{k},{step.safety_delta:.12g},{step.member_count},"
-                     f"{int(step.feasible)},{step.task_residual:.12g},"
+                     f"{int(step.member_count > 0)},{step.task_residual:.12g},"
                      f"{step.task_delta:.12g},{lp}\n")
 
 
@@ -296,6 +297,9 @@ def _parse_gammas(text: str) -> list:
 
 
 def cmd_sweep(args) -> int:
+    # tol 0 is allowed: the sweep then stops at an exact fixed point.
+    if not args.tol >= 0.0:
+        raise SchemaError("--tol must be nonnegative")
     gammas = _parse_gammas(args.gammas)
     spec, _ = _resolve_game(args)
     tables = oracle.discounted_sweep(spec, gammas, tol=args.tol)

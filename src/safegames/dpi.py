@@ -1,11 +1,13 @@
 """Dual iteration of a safety policy and a task policy.
 
 Each outer step runs ``n`` rounds of safety policy evaluation/improvement,
-checks that persistent safety is achievable at all, evaluates the task
-policy, and improves it: member states get the matrix-game strategy over
-their admissible actions, non-member states copy the safety policy as a
+evaluates the task policy, and improves it: member states get the
+matrix-game strategy over their admissible actions
+(``perf.member_games``), non-member states copy the safety policy as a
 point mass.  Safety values grow monotonically toward the max-min fixed
-point, so the invariant set only ever expands.
+point, so the invariant set only ever expands.  Feasibility is decided once,
+on the returned safety table: a game whose returned invariant set is empty
+raises InfeasibleGame.
 
 Task policy evaluation here uses the simultaneous-play backup
 (``perf.minimax_policy_backup``): the matrix-game improvement step and the
@@ -21,11 +23,9 @@ from typing import List, Optional
 
 import numpy as np
 
-from . import matrix_game, perf, safety
+from . import perf, safety
 from .errors import InfeasibleGame, NonMemberSuccessor
 from .game import PROTAGONIST, DetPolicy, GameSpec, MixedPolicy
-
-FEASIBILITY_RETRY_BUDGET = 10
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,6 @@ class DpiStep:
     safety_delta: float        # sup-norm change of the safety table
     safety_decrease: float     # largest pointwise decrease of the safety table
     member_count: int
-    feasible: bool
     task_residual: float       # fixed-point residual of the task evaluation
     task_delta: float          # sup-norm change of the task table
     lp_values: np.ndarray      # per-state matrix-game value, NaN off-members
@@ -51,7 +50,6 @@ class DpiStep:
 @dataclass
 class DpiTrace:
     steps: List[DpiStep] = field(default_factory=list)
-    feasibility_retries: int = 0
     final_constrained_residual: float = np.nan
     budget_exhausted: bool = False  # all m steps ran without meeting the exit test
 
@@ -88,28 +86,14 @@ class ConvergenceReport:
         return self.converged and self.monotone and self.constrained_ok
 
 
-def _improve_task_policy(spec: GameSpec, q: np.ndarray, inv: safety.InvariantSet,
-                         pi_h: DetPolicy):
-    """Matrix-game strategies on member states, safety point mass elsewhere."""
-    prob = np.zeros((spec.n_states, spec.n_u))
-    lp_values = np.full(spec.n_states, np.nan)
-    for x in np.flatnonzero(inv.member):
-        sol = matrix_game.solve(matrix_game.restricted(q[x], inv.admissible[x]))
-        prob[x] = sol.strategy
-        lp_values[x] = sol.value
-    for x in np.flatnonzero(~inv.member):
-        prob[x, pi_h.action[x]] = 1.0
-    return MixedPolicy(prob), lp_values
-
-
 def run(spec: GameSpec, cfg: DpiConfig = DpiConfig(),
         max_iter: int = safety.DEFAULT_MAX_ITER) -> DpiResult:
     """Run the dual iteration and return the final artifacts plus the trace.
 
-    Raises InfeasibleGame when the feasibility gate (some state must reach a
-    nonnegative worst-case safety value) still fails after
-    FEASIBILITY_RETRY_BUDGET extra safety rounds, and propagates
-    MaxIterExceeded from the fixed-point solves.
+    Raises InfeasibleGame when the returned invariant set, classified from
+    the cold re-evaluation of the returned safety policy, has no member
+    state (no state reaches a nonnegative worst-case safety value), and
+    propagates MaxIterExceeded from the fixed-point solves.
     """
     if cfg.m < 1 or cfg.n < 1:
         raise ValueError("m and n must be at least 1")
@@ -130,32 +114,21 @@ def run(spec: GameSpec, cfg: DpiConfig = DpiConfig(),
     safety_exit = max(cfg.tol, spec.gamma_h * cfg.tol / (1.0 - spec.gamma_h))
     task_exit = max(cfg.tol, spec.gamma * cfg.tol / (1.0 - spec.gamma))
 
-    def safety_round(q_h):
-        res = safety.solve(spec, safety.policy_backup, pi_h, tol=cfg.tol,
-                           max_iter=max_iter, q0=q_h)
-        return res, safety.improve_policy(res.q)
-
     for _ in range(cfg.m):
         for _ in range(cfg.n):
-            res_h, pi_h = safety_round(q_h)
+            res_h = safety.solve(spec, safety.policy_backup, pi_h, tol=cfg.tol,
+                                 max_iter=max_iter, q0=q_h)
             q_h = res_h.q
-
-        feasible = safety.is_feasible(q_h)
-        while not feasible and trace.feasibility_retries < FEASIBILITY_RETRY_BUDGET:
-            trace.feasibility_retries += 1
-            res_h, pi_h = safety_round(q_h)
-            q_h = res_h.q
-            feasible = safety.is_feasible(q_h)
-        if not feasible:
-            raise InfeasibleGame(
-                "no state admits persistent safety: "
-                "max max min of the optimal safety table is negative")
+            pi_h = safety.improve_policy(q_h)
 
         inv = safety.extract_invariant_set(q_h, value_error=res_h.error_bound)
         res_q = perf.solve(spec, perf.minimax_policy_backup, pi, tol=cfg.tol,
                            max_iter=max_iter, q0=q)
         q = res_q.q
-        pi, lp_values = _improve_task_policy(spec, q, inv, pi_h)
+        prob, lp_values = perf.member_games(q, inv)
+        off = ~inv.member
+        prob[off, pi_h.action[off]] = 1.0
+        pi = MixedPolicy(prob)
 
         if prev_snapshot is None:
             safety_delta, safety_decrease = np.inf, 0.0
@@ -169,7 +142,7 @@ def run(spec: GameSpec, cfg: DpiConfig = DpiConfig(),
         prev_snapshot, prev_task = q_h, q
         trace.steps.append(DpiStep(
             safety_delta=safety_delta, safety_decrease=safety_decrease,
-            member_count=inv.member_count(), feasible=feasible,
+            member_count=inv.member_count(),
             task_residual=res_q.residual, task_delta=task_delta,
             lp_values=lp_values))
 
@@ -194,13 +167,15 @@ def run(spec: GameSpec, cfg: DpiConfig = DpiConfig(),
     q = perf.solve(spec, perf.minimax_policy_backup, pi, tol=cfg.tol,
                    max_iter=max_iter, q0=q).q
     inv = safety.extract_invariant_set(q_h, value_error=res_h.error_bound)
+    if not inv.member.any():
+        raise InfeasibleGame(
+            "no state admits persistent safety: "
+            "the returned safety table has no member state")
 
-    cells = inv.admissible[:, :, None] & inv.member[:, None, None]
     try:
-        backed_up = perf.constrained_backup(q, spec, inv)
-        trace.final_constrained_residual = (
-            float(np.abs((backed_up - q)[np.broadcast_to(cells, q.shape)]).max())
-            if cells.any() else 0.0)
+        # The backup leaves every cell off the induced game untouched.
+        trace.final_constrained_residual = float(
+            np.abs(perf.constrained_backup(q, spec, inv) - q).max())
     except NonMemberSuccessor:
         # The discounted classification is not forward-invariant at this
         # tolerance; report an uncertified residual instead of failing.

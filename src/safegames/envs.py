@@ -11,7 +11,6 @@ from .game import GameSpec
 
 # Protagonist moves and adversary pushes share the same displacement table.
 _MOVES = ((0, 0), (0, 1), (0, -1), (1, 0), (-1, 0))  # stay/none, N, S, E, W
-MOVE_NAMES = ("stay", "N", "S", "E", "W")
 
 
 @dataclass(frozen=True)
@@ -19,7 +18,6 @@ class RandomGameParams:
     n_states: int = 8
     n_u: int = 3
     n_a: int = 3
-    reward_range: Tuple[float, float] = (0.0, 1.0)
     hazard_fraction: float = 0.25
     seed: int = 0
     gamma: float = 0.95
@@ -27,7 +25,7 @@ class RandomGameParams:
 
 
 def random_game(params: RandomGameParams) -> GameSpec:
-    """Draw a game with uniform deterministic transitions and rewards.
+    """Draw a game with uniform deterministic transitions and rewards in [0, 1).
 
     The floor(hazard_fraction * n_states) states with the lowest seeded draw
     get h = -1; everything else gets h = +1.  Identical params give
@@ -41,8 +39,7 @@ def random_game(params: RandomGameParams) -> GameSpec:
     rng = np.random.default_rng(params.seed)
     shape = (params.n_states, params.n_u, params.n_a)
     transition = rng.integers(0, params.n_states, size=shape)
-    lo, hi = params.reward_range
-    reward = rng.uniform(lo, hi, size=shape)
+    reward = rng.uniform(0.0, 1.0, size=shape)
     draws = rng.uniform(size=params.n_states)
 
     n_hazards = int(params.hazard_fraction * params.n_states)

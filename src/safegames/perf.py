@@ -15,7 +15,7 @@ fixed point the dual iteration converges to.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -42,8 +42,24 @@ def policy_backup(q: np.ndarray, spec: GameSpec, pi: MixedPolicy) -> np.ndarray:
 def minimax_policy_backup(q: np.ndarray, spec: GameSpec, pi: MixedPolicy) -> np.ndarray:
     """Worst-case backup under simultaneous play: one adversary response to
     the whole mixture."""
-    cont = np.einsum("xu,xua->xa", pi.prob, q).min(axis=1)
-    return spec.reward + spec.gamma * cont[spec.transition]
+    return spec.reward + spec.gamma * state_value(q, pi)[spec.transition]
+
+
+def member_games(q: np.ndarray,
+                 inv: InvariantSet) -> Tuple[np.ndarray, np.ndarray]:
+    """Matrix game over the admissible rows at each member state.
+
+    Returns the per-state optimal strategy and value: the LP solution on
+    member states, zero strategy rows and NaN values elsewhere.
+    """
+    n_states, n_u = inv.admissible.shape
+    strategy = np.zeros((n_states, n_u))
+    value = np.full(n_states, np.nan)
+    for x in np.flatnonzero(inv.member):
+        sol = matrix_game.solve(matrix_game.restricted(q[x], inv.admissible[x]))
+        strategy[x] = sol.strategy
+        value[x] = sol.value
+    return strategy, value
 
 
 def constrained_backup(q: np.ndarray, spec: GameSpec, inv: InvariantSet) -> np.ndarray:
@@ -54,23 +70,15 @@ def constrained_backup(q: np.ndarray, spec: GameSpec, inv: InvariantSet) -> np.n
     NonMemberSuccessor if an admissible action can leave the member set,
     which signals a stale invariant set.
     """
-    values = np.zeros(spec.n_states)
-    members = np.flatnonzero(inv.member)
-    for x in members:
-        sol = matrix_game.solve(matrix_game.restricted(q[x], inv.admissible[x]))
-        values[x] = sol.value
-
-    out = q.copy()
-    for x in members:
-        for u in inv.admissible_actions(x):
-            succ = spec.transition[x, u, :]
-            if not inv.member[succ].all():
-                bad = succ[~inv.member[succ]][0]
-                raise NonMemberSuccessor(
-                    f"admissible action {u} at member state {x} reaches "
-                    f"non-member state {bad}")
-            out[x, u, :] = spec.reward[x, u, :] + spec.gamma * values[succ]
-    return out
+    _, values = member_games(q, inv)
+    cells = (inv.member[:, None] & inv.admissible)[:, :, None]
+    leaves = cells & ~inv.member[spec.transition]
+    if leaves.any():
+        x, u, a = np.argwhere(leaves)[0]
+        raise NonMemberSuccessor(
+            f"admissible action {u} at member state {x} reaches "
+            f"non-member state {spec.transition[x, u, a]}")
+    return np.where(cells, spec.reward + spec.gamma * values[spec.transition], q)
 
 
 def solve(spec: GameSpec, backup: Callable[..., np.ndarray], *args,
@@ -90,5 +98,6 @@ def solve(spec: GameSpec, backup: Callable[..., np.ndarray], *args,
 
 
 def state_value(q: np.ndarray, pi: MixedPolicy) -> np.ndarray:
-    """Per-state worst-case value of a mixed policy, computed on demand."""
-    return (pi.prob * q.min(axis=2)).sum(axis=1)
+    """Per-state value of a mixed policy under simultaneous play:
+    min over a of the expectation over u of q(x, u, a)."""
+    return np.einsum("xu,xua->xa", pi.prob, q).min(axis=1)

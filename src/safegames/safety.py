@@ -118,15 +118,14 @@ class InvariantSet:
     """Membership mask plus per-state admissible protagonist actions.
 
     ``member[x]`` holds iff some action keeps the worst-case safety value at
-    or above ``threshold``; ``admissible[x, u]`` marks exactly those actions.
-    ``ambiguous[x]`` flags states whose classification is within the
-    certified distance-to-fixed-point bound of the threshold, where the
-    discounted sign cannot be trusted.
+    or above the extraction threshold; ``admissible[x, u]`` marks exactly
+    those actions.  ``ambiguous[x]`` flags states whose classification is
+    within the certified distance-to-fixed-point bound of the threshold,
+    where the discounted sign cannot be trusted.
     """
 
     member: np.ndarray      # (n_states,) bool
     admissible: np.ndarray  # (n_states, n_u) bool
-    threshold: float = 0.0
     ambiguous: np.ndarray = None  # (n_states,) bool
 
     def __post_init__(self):
@@ -155,12 +154,7 @@ def extract_invariant_set(q: np.ndarray, threshold: float = 0.0,
     maxmin = row_min.max(axis=1)
     ambiguous = np.abs(maxmin - threshold) < 10.0 * value_error
     return InvariantSet(member=member, admissible=admissible,
-                        threshold=threshold, ambiguous=ambiguous)
-
-
-def is_feasible(q: np.ndarray, threshold: float = 0.0) -> bool:
-    """Whether any state at all can sustain safety: max_x max_u min_a q >= threshold."""
-    return bool(q.min(axis=2).max() >= threshold)
+                        ambiguous=ambiguous)
 
 
 def state_value(q: np.ndarray) -> np.ndarray:

@@ -127,7 +127,7 @@ def _feasible_games(count=20, n_states=8, n_u=3, n_a=3):
         spec = random_game(RandomGameParams(
             n_states=n_states, n_u=n_u, n_a=n_a, seed=seed))
         q_star = safety.solve(spec, safety.optimal_backup, tol=1e-8).q
-        if safety.is_feasible(q_star):
+        if safety.extract_invariant_set(q_star).member.any():
             games.append(spec)
         seed += 1
     return games

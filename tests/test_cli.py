@@ -105,6 +105,25 @@ def test_solve_infeasible_exit_code(tmp_path, capsys):
                        "--out", str(tmp_path / f"out{i}")]) for i in range(2)]
     assert codes == [2, 2]
     assert "infeasible: max max min Q_h^* < 0" in capsys.readouterr().err
+    # a 300-state game with an empty viability kernel exits 2 as well
+    assert cli.main(["solve", "--random", "--states", "300",
+                     "--hazard-frac", "0.5", "--seed", "0",
+                     "--out", str(tmp_path / "big")]) == 2
+
+
+def test_trace_feasible_column_is_a_nonempty_member_set(tmp_path):
+    # With one safety round per step this game has no member in step 0.
+    out = tmp_path / "o"
+    assert cli.main(["solve", "--random", "--states", "6", "--nu", "2",
+                     "--na", "2", "--seed", "1", "--n", "1", "--m", "5",
+                     "--out", str(out)]) == 0
+    header, *rows = (out / "trace.csv").read_text().splitlines()
+    names = header.split(",")
+    col = {name: names.index(name) for name in ("member_count", "feasible")}
+    cells = [row.split(",") for row in rows]
+    counts = [int(c[col["member_count"]]) for c in cells]
+    assert 0 in counts and max(counts) > 0
+    assert [int(c[col["feasible"]]) for c in cells] == [int(n > 0) for n in counts]
 
 
 def test_solve_reproducible_byte_identical(tmp_path):
@@ -217,6 +236,12 @@ def test_sweep_to_file(tmp_path):
     assert len(rows) == 1 + 4 * 2 * 2
 
 
+def test_sweep_tol_zero_reaches_an_exact_fixed_point(capsys):
+    assert cli.main(["sweep", "--random", "--states", "4", "--nu", "2",
+                     "--na", "2", "--gammas", "0.9", "--tol", "0"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 4 * 2 * 2
+
+
 def test_config_file_precedence(tmp_path):
     config = tmp_path / "conf.json"
     config.write_text(json.dumps({"seed": 7, "states": 8}))
@@ -286,6 +311,7 @@ def test_gamma_overrides(tmp_path):
     ["verify", "--random", "--tol", "-1"],
     ["sweep", "--random", "--gammas", "abc"],
     ["sweep", "--random", "--gammas", "1.5"],
+    ["sweep", "--random", "--tol", "-1"],
 ], ids=lambda argv: " ".join(argv))
 def test_bad_flag_values_exit_1_without_traceback(tmp_path, capsys, argv):
     if argv[0] == "solve":

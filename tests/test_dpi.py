@@ -10,7 +10,7 @@ from conftest import make_random_spec
 
 def _step(decrease=0.0, members=1, delta=0.0):
     return DpiStep(safety_delta=delta, safety_decrease=decrease,
-                   member_count=members, feasible=True, task_residual=0.0,
+                   member_count=members, task_residual=0.0,
                    task_delta=delta, lp_values=np.full(2, np.nan))
 
 
@@ -42,6 +42,11 @@ def test_g2_final_policy_and_values(g2_rewarded):
 def test_infeasible_game_raises(g3):
     with pytest.raises(InfeasibleGame):
         dpi.run(g3, DpiConfig(m=3, n=2))
+    # a large game whose viability kernel is empty raises too
+    spec = make_random_spec(0, n_states=300, hazard_fraction=0.5)
+    assert not oracle.viability_kernel(spec).any()
+    with pytest.raises(InfeasibleGame):
+        dpi.run(spec)
 
 
 def test_terminal_tables_match_standalone_solves():

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from safegames import MixedPolicy, NonMemberSuccessor
-from safegames import perf, safety
+from safegames import DpiConfig, MixedPolicy, NonMemberSuccessor
+from safegames import dpi, perf, safety
 from safegames.safety import InvariantSet
 from conftest import make_random_spec
 
@@ -158,6 +158,39 @@ def test_constrained_rejects_stale_invariant_set(g2_rewarded):
         perf.constrained_backup(np.zeros(g2_rewarded.shape), g2_rewarded, bad)
 
 
+def _first_exit_message(spec, inv):
+    """Reference scan: the first admissible cell, in (x, u, a) order, whose
+    successor is not a member."""
+    for x in np.flatnonzero(inv.member):
+        for u in inv.admissible_actions(x):
+            for a in range(spec.n_a):
+                succ = spec.transition[x, u, a]
+                if not inv.member[succ]:
+                    return (f"admissible action {u} at member state {x} "
+                            f"reaches non-member state {succ}")
+    return None
+
+
+def test_constrained_names_the_first_exit_of_a_stale_set():
+    spec = make_random_spec(2)
+    inv = safety.extract_invariant_set(
+        safety.solve(spec, safety.optimal_backup).q)
+    assert _first_exit_message(spec, inv) is None
+    # Mark two inadmissible cells admissible; each reaches a non-member.
+    exits = [(x, u) for x in np.flatnonzero(inv.member)
+             for u in range(spec.n_u)
+             if not inv.member[spec.transition[x, u]].all()]
+    admissible = inv.admissible.copy()
+    for x, u in exits[:2]:
+        admissible[x, u] = True
+    stale = InvariantSet(inv.member, admissible)
+    expected = _first_exit_message(spec, stale)
+    assert expected is not None
+    with pytest.raises(NonMemberSuccessor) as err:
+        perf.constrained_backup(np.zeros(spec.shape), spec, stale)
+    assert str(err.value) == expected
+
+
 def test_perf_fixed_point_bound():
     for seed in range(4):
         spec = make_random_spec(seed, n_states=6, n_u=2, n_a=2)
@@ -185,8 +218,19 @@ def test_perf_contraction_sweep():
                           - perf.policy_backup(q2, spec, pi)).max() <= bound
 
 
-def test_state_value_definition(g2_rewarded):
+def test_state_value_definition():
+    # Simultaneous play: the adversary answers the mixture, not each action.
     pi = MixedPolicy.uniform(2, 2)
-    q = np.arange(4.0).reshape(g2_rewarded.shape)
-    expected = (pi.prob * q.min(axis=2)).sum(axis=1)
-    assert np.array_equal(perf.state_value(q, pi), expected)
+    q = np.array([[[1.0, 0.0], [0.0, 1.0]], [[2.0, 4.0], [6.0, 0.0]]])
+    # The per-action form, sum over u of min over a, would give [0.0, 1.0].
+    assert perf.state_value(q, pi).tolist() == [0.5, 2.0]
+
+
+def test_state_value_matches_last_matrix_game_values():
+    # The task policy mixes here; the LP value is the simultaneous-play one.
+    spec = make_random_spec(5)
+    result = dpi.run(spec, DpiConfig(m=40, n=2, tol=1e-11))
+    member = result.invariant_set.member
+    lp_values = result.trace.steps[-1].lp_values
+    values = perf.state_value(result.q, result.pi)
+    assert np.abs(values[member] - lp_values[member]).max() <= 1e-8

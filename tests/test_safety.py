@@ -147,9 +147,13 @@ def test_boundary_ambiguity_flagging():
 
 
 def test_feasibility_anchors(g1, g2, g3):
-    assert safety.is_feasible(safety.solve(g1, safety.optimal_backup).q)
-    assert safety.is_feasible(safety.solve(g2, safety.optimal_backup).q)
-    assert not safety.is_feasible(safety.solve(g3, safety.optimal_backup).q)
+    def feasible(spec):
+        q = safety.solve(spec, safety.optimal_backup).q
+        return safety.extract_invariant_set(q).member.any()
+
+    assert feasible(g1)
+    assert feasible(g2)
+    assert not feasible(g3)
 
 
 def test_fixed_point_bounded_by_constraint_range():
