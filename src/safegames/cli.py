@@ -8,8 +8,9 @@ significant digits; invariant sets render as binary PGM with 255 = member,
 128 = boundary-ambiguous, 0 = non-member.
 
 Exit codes: 0 success, 1 I/O, schema or flag-value error, 2 infeasible
-game (the returned safety table has no member state), 3 iteration budget
-exhausted, 4 verification property failed.
+game (the returned safety table has no member state), 3 a safety solve's
+improvement budget or a task solve's sweep budget ran out, 4 verification
+property failed.
 Diagnostics go to stderr; data goes to files or stdout.
 """
 
@@ -24,7 +25,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from . import dpi, envs, oracle, perf, safety, verify
+from . import dpi, envs, perf, safety, verify
 from .errors import InfeasibleGame, MaxIterExceeded
 from .game import GameSpec, validate
 
@@ -297,15 +298,12 @@ def _parse_gammas(text: str) -> list:
 
 
 def cmd_sweep(args) -> int:
-    # tol 0 is allowed: the sweep then stops at an exact fixed point.
-    if not args.tol >= 0.0:
-        raise SchemaError("--tol must be nonnegative")
     gammas = _parse_gammas(args.gammas)
     spec, _ = _resolve_game(args)
-    tables = oracle.discounted_sweep(spec, gammas, tol=args.tol)
     lines = ["x,u,a,gamma_h,value"]
     for gamma_h in gammas:
-        q = tables[gamma_h]
+        strict = dataclasses.replace(spec, gamma_h=gamma_h)
+        q = safety.solve(strict, safety.optimal_backup).q
         for x in range(spec.n_states):
             for u in range(spec.n_u):
                 for a in range(spec.n_a):
@@ -336,9 +334,11 @@ def build_parser(config=None) -> argparse.ArgumentParser:
     p_solve.add_argument("--m", type=int, default=30, help="outer iterations")
     p_solve.add_argument("--n", type=int, default=2,
                          help="safety rounds per outer iteration")
-    p_solve.add_argument("--tol", type=float, default=1e-10)
+    p_solve.add_argument("--tol", type=float, default=1e-10,
+                         help="task solve tolerance (safety solves are exact)")
     p_solve.add_argument("--max-iter", type=int, default=safety.DEFAULT_MAX_ITER,
-                         help="sweep budget per fixed-point solve")
+                         help="improvement budget per safety solve and "
+                              "sweep budget per task solve")
     p_solve.set_defaults(func=cmd_solve)
 
     p_verify = sub.add_parser("verify", help="run oracle cross-checks")
@@ -348,15 +348,16 @@ def build_parser(config=None) -> argparse.ArgumentParser:
     p_verify.add_argument("--qh", metavar="PATH", default=None,
                           help="check a stored safety table instead of "
                                "solving one")
-    p_verify.add_argument("--tol", type=float, default=1e-10)
+    p_verify.add_argument("--tol", type=float, default=1e-10,
+                          help="tolerance of the induced-game solves")
     p_verify.set_defaults(func=cmd_verify)
 
-    p_sweep = sub.add_parser("sweep", help="export safety fixed points per discount")
+    p_sweep = sub.add_parser("sweep", help="export exact max-min safety tables "
+                                           "per discount")
     _add_source_args(p_sweep)
     p_sweep.add_argument("--gammas", default="0.9,0.99,0.999",
                          help="comma-separated safety discounts")
     p_sweep.add_argument("--out", default=None, help="CSV output file")
-    p_sweep.add_argument("--tol", type=float, default=1e-10)
     p_sweep.set_defaults(func=cmd_sweep)
 
     if config:

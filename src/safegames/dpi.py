@@ -1,13 +1,17 @@
 """Dual iteration of a safety policy and a task policy.
 
-Each outer step runs ``n`` rounds of safety policy evaluation/improvement,
-evaluates the task policy, and improves it: member states get the
-matrix-game strategy over their admissible actions
-(``perf.member_games``), non-member states copy the safety policy as a
-point mass.  Safety values grow monotonically toward the max-min fixed
-point, so the invariant set only ever expands.  Feasibility is decided once,
-on the returned safety table: a game whose returned invariant set is empty
-raises InfeasibleGame.
+The safety table always belongs to the current safety policy: it starts as
+the exact evaluation of the all-zeros policy, and each of the ``n`` safety
+rounds per outer step improves the policy (switching only on strict
+improvement) and evaluates it exactly with ``safety.solve``; a round that
+switches nothing ends the step's safety rounds, and no safety solve is
+warm-started.  Each outer step then evaluates the task policy and
+improves it: member states get the matrix-game strategy over their
+admissible actions (``perf.member_games``), non-member states copy the
+safety policy as a point mass.  Safety values grow monotonically toward the
+max-min fixed point, so the invariant set only ever expands.  Feasibility is
+decided once, on the returned safety table: a game whose returned invariant
+set is empty raises InfeasibleGame.
 
 Task policy evaluation here uses the simultaneous-play backup
 (``perf.minimax_policy_backup``): the matrix-game improvement step and the
@@ -32,7 +36,7 @@ from .game import PROTAGONIST, DetPolicy, GameSpec, MixedPolicy
 class DpiConfig:
     m: int = 30           # outer iterations (budget; early exit on convergence)
     n: int = 2            # safety rounds per outer iteration
-    tol: float = 1e-10
+    tol: float = 1e-10    # task solve tolerance; safety solves are exact
 
 
 @dataclass
@@ -90,10 +94,12 @@ def run(spec: GameSpec, cfg: DpiConfig = DpiConfig(),
         max_iter: int = safety.DEFAULT_MAX_ITER) -> DpiResult:
     """Run the dual iteration and return the final artifacts plus the trace.
 
-    Raises InfeasibleGame when the returned invariant set, classified from
-    the cold re-evaluation of the returned safety policy, has no member
-    state (no state reaches a nonnegative worst-case safety value), and
-    propagates MaxIterExceeded from the fixed-point solves.
+    The loop exits once both policies repeat from one step to the next and
+    the task table has settled; the safety table then belongs to the stable
+    safety policy.  Raises InfeasibleGame when the returned invariant set
+    has no member state (no state reaches a nonnegative worst-case safety
+    value), and propagates MaxIterExceeded from the safety solves'
+    improvement budget and the task solves' sweep budget (both ``max_iter``).
     """
     if cfg.m < 1 or cfg.n < 1:
         raise ValueError("m and n must be at least 1")
@@ -101,25 +107,28 @@ def run(spec: GameSpec, cfg: DpiConfig = DpiConfig(),
         raise ValueError("tol must be positive")
 
     pi_h = DetPolicy.constant(spec.n_states, 0, PROTAGONIST)
+    res_h = safety.solve(spec, safety.policy_backup, pi_h, max_iter=max_iter)
     pi = MixedPolicy.uniform(spec.n_states, spec.n_u)
-    q_h = np.zeros(spec.shape)
     q = np.zeros(spec.shape)
     trace = DpiTrace()
     prev_snapshot: Optional[np.ndarray] = None
     prev_task: Optional[np.ndarray] = None
     prev_policies: Optional[tuple] = None
-    # A solve stopping at residual <= tol is still up to gamma*tol/(1-gamma)
-    # from its fixed point, and warm starts carry that drift into the next
-    # round's delta, so the exit thresholds must sit at that scale.
-    safety_exit = max(cfg.tol, spec.gamma_h * cfg.tol / (1.0 - spec.gamma_h))
+    # A task solve stopping at residual <= tol is still up to
+    # gamma*tol/(1-gamma) from its fixed point, and warm starts carry that
+    # drift into the next step's delta, so the exit threshold sits at that
+    # scale.
     task_exit = max(cfg.tol, spec.gamma * cfg.tol / (1.0 - spec.gamma))
 
     for _ in range(cfg.m):
         for _ in range(cfg.n):
-            res_h = safety.solve(spec, safety.policy_backup, pi_h, tol=cfg.tol,
-                                 max_iter=max_iter, q0=q_h)
-            q_h = res_h.q
-            pi_h = safety.improve_policy(q_h)
+            improved = safety.improve_policy(res_h.q, pi_h)
+            if np.array_equal(improved.action, pi_h.action):
+                break
+            pi_h = improved
+            res_h = safety.solve(spec, safety.policy_backup, pi_h,
+                                 max_iter=max_iter)
+        q_h = res_h.q
 
         inv = safety.extract_invariant_set(q_h, value_error=res_h.error_bound)
         res_q = perf.solve(spec, perf.minimax_policy_backup, pi, tol=cfg.tol,
@@ -150,35 +159,27 @@ def run(spec: GameSpec, cfg: DpiConfig = DpiConfig(),
                            and np.array_equal(pi_h.action, prev_policies[0])
                            and np.array_equal(pi.prob, prev_policies[1]))
         prev_policies = (pi_h.action.copy(), pi.prob.copy())
-        if (policies_stable and safety_delta <= safety_exit
-                and task_delta <= task_exit):
+        if policies_stable and task_delta <= task_exit:
             break
     else:
         trace.budget_exhausted = True
 
-    # Re-evaluate both tables so the returned values belong to the returned
-    # policies (the loop's last evaluation predates its last improvement).
-    # The safety table restarts cold: warm starts keep a decayed remnant of
-    # earlier policies' pessimism, which pushes exact-zero boundary values a
-    # few 1e-9 below zero and misclassifies them.
-    res_h = safety.solve(spec, safety.policy_backup, pi_h, tol=cfg.tol,
-                         max_iter=max_iter)
-    q_h = res_h.q
-    q = perf.solve(spec, perf.minimax_policy_backup, pi, tol=cfg.tol,
-                   max_iter=max_iter, q0=q).q
-    inv = safety.extract_invariant_set(q_h, value_error=res_h.error_bound)
     if not inv.member.any():
         raise InfeasibleGame(
             "no state admits persistent safety: "
             "the returned safety table has no member state")
+    # The loop's last task evaluation predates its last improvement.
+    q = perf.solve(spec, perf.minimax_policy_backup, pi, tol=cfg.tol,
+                   max_iter=max_iter, q0=q).q
 
     try:
         # The backup leaves every cell off the induced game untouched.
         trace.final_constrained_residual = float(
             np.abs(perf.constrained_backup(q, spec, inv) - q).max())
     except NonMemberSuccessor:
-        # The discounted classification is not forward-invariant at this
-        # tolerance; report an uncertified residual instead of failing.
+        # A discounted classification need not be forward-invariant (a
+        # member's successor may hold a small negative value); report an
+        # uncertified residual instead of failing.
         trace.final_constrained_residual = np.inf
 
     return DpiResult(pi=pi, pi_h=pi_h, q=q, q_h=q_h, trace=trace,

@@ -2,7 +2,8 @@
 
 
 class MaxIterExceeded(RuntimeError):
-    """Fixed-point iteration did not reach the tolerance within the sweep budget."""
+    """A solve ran out of budget: value iteration's sweeps before reaching
+    its tolerance, or exact strategy iteration's policy improvements."""
 
     def __init__(self, message, residual=None, iterations=None):
         super().__init__(message)

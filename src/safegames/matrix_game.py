@@ -117,7 +117,8 @@ def solve(game: RestrictedMatrixGame) -> MatrixGameSolution:
     scans; otherwise the LP runs on the admissible submatrix and the strategy
     is re-expanded with zero mass on the removed rows.  Raises
     NumericalFailure when the primal/dual certificates disagree by more than
-    1e-6.
+    1e-6 times max(1, payoff range of the admissible submatrix), so the test
+    scales with the payoffs and is never stricter than 1e-6.
     """
     rows = game.admissible_rows
     n_rows, n_cols = game.payoff.shape
@@ -165,8 +166,9 @@ def solve(game: RestrictedMatrixGame) -> MatrixGameSolution:
         raise NumericalFailure("degenerate column strategy")
     t /= t_total
     upper = float((sub @ t).max())
-    if upper - value > _CERT_TOL:
+    cert_tol = _CERT_TOL * max(1.0, float(sub.max() - sub.min()))
+    if upper - value > cert_tol:
         raise NumericalFailure(
-            f"certificate gap {upper - value:.3e} exceeds {_CERT_TOL}")
+            f"certificate gap {upper - value:.3e} exceeds {cert_tol:.3e}")
 
     return MatrixGameSolution(strategy, value)

@@ -176,28 +176,16 @@ def viability_kernel(spec: GameSpec) -> np.ndarray:
 
 def find_invariance_violations(spec: GameSpec, inv: InvariantSet
                                ) -> Tuple[List[Tuple[int, int, int, int]], int]:
-    """Exhaustive search for exits from the member set.
+    """Exhaustive scan for exits from the member set.
 
-    Breadth-first from every member state, following every admissible
-    protagonist action against every adversary action.  Returns the list of
-    violating transitions (x, u, a, successor) and the number of transitions
-    explored.
+    Checks every admissible protagonist action at every member state against
+    every adversary action; a search that only walks through members reaches
+    no other transition.  Returns the violating transitions (x, u, a,
+    successor) in (x, u, a) order and ``explored``, the number of admissible
+    transitions scanned.
     """
-    violations: List[Tuple[int, int, int, int]] = []
-    explored = 0
-    members = np.flatnonzero(inv.member)
-    for root in members:
-        frontier = [int(root)]
-        visited = {int(root)}
-        while frontier:
-            x = frontier.pop(0)
-            for u in inv.admissible_actions(x):
-                for a in range(spec.n_a):
-                    y = int(spec.transition[x, u, a])
-                    explored += 1
-                    if not inv.member[y]:
-                        violations.append((x, int(u), a, y))
-                    elif y not in visited:
-                        visited.add(y)
-                        frontier.append(y)
-    return violations, explored
+    rows = inv.member[:, None] & inv.admissible
+    exits = np.argwhere(rows[:, :, None] & ~inv.member[spec.transition])
+    violations = [(int(x), int(u), int(a), int(spec.transition[x, u, a]))
+                  for x, u, a in exits]
+    return violations, int(rows.sum()) * spec.n_a

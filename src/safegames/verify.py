@@ -1,9 +1,10 @@
 """Property checks pitting the discounted engines against the oracles.
 
 Each check returns a PropertyResult; ``run_all`` is what the ``verify``
-command drives.  Sign certification compares against the exact viability
-kernel of the undiscounted game (``oracle.viability_kernel``), and the
-three set checks share one max-min safety solve.
+command drives.  Every safety table comes from the exact solve
+(``safety.solve``).  Sign certification compares against the exact
+viability kernel of the undiscounted game (``oracle.viability_kernel``), and
+the three set checks share one max-min safety solve.
 """
 
 from __future__ import annotations
@@ -92,15 +93,14 @@ def monotonicity_check(spec: GameSpec, pairs: int = 200, seed: int = 0) -> Prope
 
 
 def set_inclusion_check(spec: GameSpec, optimal: safety.InvariantSet,
-                        n_policies: int = 10, seed: int = 0,
-                        tol: float = 1e-10) -> PropertyResult:
+                        n_policies: int = 10, seed: int = 0) -> PropertyResult:
     """Policy sets nest inside the optimal set inside the constraint set."""
     rng = np.random.default_rng(seed)
     in_constraint = spec.constraint >= 0.0
     ok = bool((~optimal.member | in_constraint).all())
     for _ in range(n_policies):
         pi_h = DetPolicy(rng.integers(0, spec.n_u, spec.n_states), PROTAGONIST)
-        q_pi = safety.solve(spec, safety.policy_backup, pi_h, tol=tol).q
+        q_pi = safety.solve(spec, safety.policy_backup, pi_h).q
         member = safety.extract_invariant_set(q_pi).member
         ok = ok and bool((~member | optimal.member).all())
     return PropertyResult(
@@ -108,13 +108,13 @@ def set_inclusion_check(spec: GameSpec, optimal: safety.InvariantSet,
         f"{n_policies} random policies nested inside the optimal set")
 
 
-def sign_certification_check(spec: GameSpec, q_h: Optional[np.ndarray] = None,
-                             tol: float = 1e-10) -> PropertyResult:
+def sign_certification_check(spec: GameSpec,
+                             q_h: Optional[np.ndarray] = None) -> PropertyResult:
     """Discounted membership at a near-1 discount must match the exact
     undiscounted viability kernel on every non-ambiguous state."""
     if q_h is None:
         strict = dataclasses.replace(spec, gamma_h=CERTIFICATION_GAMMA)
-        res = safety.solve(strict, safety.optimal_backup, tol=tol)
+        res = safety.solve(strict, safety.optimal_backup)
         inv = safety.extract_invariant_set(res.q, value_error=res.error_bound)
     else:
         inv = safety.extract_invariant_set(np.asarray(q_h, dtype=np.float64))
@@ -157,12 +157,12 @@ def run_all(spec: GameSpec, pairs: int = 200, seed: int = 0,
             tol: float = 1e-10) -> List[PropertyResult]:
     """Run every cross-check; the set checks share one max-min solve."""
     optimal = safety.extract_invariant_set(
-        safety.solve(spec, safety.optimal_backup, tol=tol).q)
+        safety.solve(spec, safety.optimal_backup).q)
     return [
         contraction_check(spec, pairs, seed),
         monotonicity_check(spec, pairs, seed),
-        set_inclusion_check(spec, optimal, seed=seed, tol=tol),
-        sign_certification_check(spec, q_h=q_h, tol=tol),
+        set_inclusion_check(spec, optimal, seed=seed),
+        sign_certification_check(spec, q_h=q_h),
         forward_invariance_check(spec, optimal),
         induced_agreement_check(spec, optimal, tol),
     ]

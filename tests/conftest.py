@@ -84,3 +84,12 @@ def make_random_spec(seed, n_states=8, n_u=3, n_a=3, hazard_fraction=0.25,
         n_states=n_states, n_u=n_u, n_a=n_a,
         hazard_fraction=hazard_fraction, seed=seed,
         gamma=gamma, gamma_h=gamma_h))
+
+
+def push_grid_hazards(size=32, n_hazards=30, seed=(0, 0)):
+    """Hazard cells drawn the way the solve-grid benchmark draws them; the
+    default is its first game for seed 0, whose zero-valued boundary states
+    exposed warm-start drift in the safety tables."""
+    rng = np.random.default_rng(list(seed))
+    cells = np.sort(rng.choice(size * size - 1, n_hazards, replace=False))
+    return tuple((int(c % size), int(c // size)) for c in cells)

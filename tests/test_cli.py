@@ -1,11 +1,13 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from safegames import cli
+from safegames import cli, dpi, oracle, perf, safety
 from safegames.cli import SchemaError, load_game, save_game
 from safegames.envs import RandomGameParams, random_game
+from conftest import push_grid_hazards
 
 
 def _write_g3(path):
@@ -115,7 +117,7 @@ def test_trace_feasible_column_is_a_nonempty_member_set(tmp_path):
     # With one safety round per step this game has no member in step 0.
     out = tmp_path / "o"
     assert cli.main(["solve", "--random", "--states", "6", "--nu", "2",
-                     "--na", "2", "--seed", "1", "--n", "1", "--m", "5",
+                     "--na", "2", "--seed", "16", "--n", "1", "--m", "5",
                      "--out", str(out)]) == 0
     header, *rows = (out / "trace.csv").read_text().splitlines()
     names = header.split(",")
@@ -124,6 +126,39 @@ def test_trace_feasible_column_is_a_nonempty_member_set(tmp_path):
     counts = [int(c[col["member_count"]]) for c in cells]
     assert 0 in counts and max(counts) > 0
     assert [int(c[col["feasible"]]) for c in cells] == [int(n > 0) for n in counts]
+
+
+def test_grid_artifacts_agree_with_the_returned_set(tmp_path, monkeypatch):
+    # The solve-grid benchmark's first game: 30 hazards on a 32x32 push grid.
+    # Warm-started safety solves reported 789 members in every trace step
+    # against 993 returned, wrote 204 boundary-ambiguous pixels and gave
+    # those states the safety point mass instead of a matrix-game strategy.
+    argv = ["solve", "--grid", "32x32", "--adv", "1", "--out", str(tmp_path)]
+    for x, y in push_grid_hazards():
+        argv += ["--hazard", f"{x},{y}"]
+    calls = []
+    run = dpi.run
+
+    def recording(spec, *args, **kwargs):
+        calls.append((spec, run(spec, *args, **kwargs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(dpi, "run", recording)
+    assert cli.main(argv) == 0
+    (spec, result), = calls
+
+    header, *rows = (tmp_path / "trace.csv").read_text().splitlines()
+    count = int(rows[-1].split(",")[header.split(",").index("member_count")])
+    policy = json.loads((tmp_path / "policy.json").read_text())
+    member = np.array(policy["member"], dtype=bool)
+    assert np.array_equal(member, oracle.viability_kernel(spec))
+    assert count == member.sum()
+    pixels = (tmp_path / "set.pgm").read_bytes()[len(b"P5\n32 32\n255\n"):]
+    assert np.array_equal(np.frombuffer(pixels, np.uint8),
+                          np.where(member, 255, 0))
+    strategy, _ = perf.member_games(result.q, result.invariant_set)
+    task = np.array(policy["task_policy"])
+    assert np.array_equal(task[member], strategy[member])
 
 
 def test_solve_reproducible_byte_identical(tmp_path):
@@ -236,10 +271,22 @@ def test_sweep_to_file(tmp_path):
     assert len(rows) == 1 + 4 * 2 * 2
 
 
-def test_sweep_tol_zero_reaches_an_exact_fixed_point(capsys):
+def test_sweep_writes_the_exact_tables(capsys):
     assert cli.main(["sweep", "--random", "--states", "4", "--nu", "2",
-                     "--na", "2", "--gammas", "0.9", "--tol", "0"]) == 0
-    assert len(capsys.readouterr().out.splitlines()) == 1 + 4 * 2 * 2
+                     "--na", "2", "--gammas", "0.9,0.999"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    spec = random_game(RandomGameParams(n_states=4, n_u=2, n_a=2))
+    expected = []
+    for gamma_h in (0.9, 0.999):
+        strict = dataclasses.replace(spec, gamma_h=gamma_h)
+        q = safety.solve(strict, safety.optimal_backup).q
+        expected += [f"{x},{u},{a},{gamma_h:.12g},{q[x, u, a]:.12g}"
+                     for x, u, a in np.ndindex(spec.shape)]
+    assert rows == expected
+    # --tol went with the value iteration it stopped
+    with pytest.raises(SystemExit) as usage:
+        cli.main(["sweep", "--random", "--tol", "1e-10"])
+    assert usage.value.code == 2
 
 
 def test_config_file_precedence(tmp_path):
@@ -311,7 +358,6 @@ def test_gamma_overrides(tmp_path):
     ["verify", "--random", "--tol", "-1"],
     ["sweep", "--random", "--gammas", "abc"],
     ["sweep", "--random", "--gammas", "1.5"],
-    ["sweep", "--random", "--tol", "-1"],
 ], ids=lambda argv: " ".join(argv))
 def test_bad_flag_values_exit_1_without_traceback(tmp_path, capsys, argv):
     if argv[0] == "solve":

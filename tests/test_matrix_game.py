@@ -102,3 +102,21 @@ def test_shift_invariance():
 def test_non_finite_payoff_rejected():
     with pytest.raises(ValueError):
         RestrictedMatrixGame(np.array([[np.inf, 0.0]]), np.array([0]))
+
+
+def test_certificate_tolerance_scales_with_the_payoffs():
+    # The same 300 random 5x5 games at every scale; an absolute 1e-6
+    # certificate tolerance rejected 2 of them at 1e9 (gaps near 3e-6).
+    # Support enumeration checks the first 60, the rest are checked for
+    # scale covariance against the unscaled engine solve.
+    rng = np.random.default_rng(0)
+    games = [rng.uniform(-1.0, 1.0, (5, 5)) for _ in range(300)]
+    reference = [solve_support_enumeration(p, range(5)) for p in games[:60]]
+    unscaled = [solve(restricted(p, range(5))) for p in games]
+    for scale in (1e-6, 1e-3, 1e3, 1e6, 1e9):
+        for k, payoff in enumerate(games):
+            sol = solve(restricted(scale * payoff, range(5)))
+            strategy, value = (reference[k] if k < 60 else
+                               (unscaled[k].strategy, unscaled[k].value))
+            assert abs(sol.value / scale - value) <= 1e-8
+            assert np.abs(sol.strategy - strategy).max() <= 1e-8

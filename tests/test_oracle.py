@@ -150,3 +150,34 @@ def test_invariance_search_flags_stale_set(g2):
     violations, explored = oracle.find_invariance_violations(g2, bad)
     assert (0, 1, 0, 1) in violations
     assert explored >= 2
+
+
+def _exits_by_loop(spec, inv):
+    """Reference scan: every admissible transition out of a member state."""
+    exits, scanned = [], 0
+    for x in range(spec.n_states):
+        for u in range(spec.n_u):
+            if not (inv.member[x] and inv.admissible[x, u]):
+                continue
+            for a in range(spec.n_a):
+                scanned += 1
+                y = int(spec.transition[x, u, a])
+                if not inv.member[y]:
+                    exits.append((x, u, a, y))
+    return exits, scanned
+
+
+def test_invariance_scan_matches_a_reference_loop():
+    rng = np.random.default_rng(0)
+    leaky = 0
+    for seed in (2, 7, 9):
+        spec = make_random_spec(seed)
+        solved = safety.extract_invariant_set(
+            safety.solve(spec, safety.optimal_backup).q)
+        admissible = rng.random((spec.n_states, spec.n_u)) < 0.6
+        stale = InvariantSet(admissible.any(axis=1), admissible)
+        for inv in (solved, stale):
+            expected = _exits_by_loop(spec, inv)
+            assert oracle.find_invariance_violations(spec, inv) == expected
+            leaky += bool(expected[0])
+    assert leaky > 0

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from safegames import ADVERSARY, PROTAGONIST, DetPolicy, MaxIterExceeded
-from safegames import safety
-from conftest import make_random_spec
+from safegames import oracle, safety
+from safegames.envs import GridworldParams, gridworld
+from conftest import make_random_spec, push_grid_hazards
 
 
 def _iterate_plain(backup, q0, sweeps=4000, tol=1e-12):
@@ -61,7 +64,7 @@ def test_policy_eval_matches_plain_iteration(g3):
     pi = DetPolicy.constant(2, 0, PROTAGONIST)
     expected = _iterate_plain(lambda q: safety.policy_backup(q, g3, pi),
                               np.zeros((2, 2, 2)))
-    res = safety.solve(g3, safety.policy_backup, pi, tol=1e-12)
+    res = safety.solve(g3, safety.policy_backup, pi)
     assert np.abs(res.q - expected).max() <= 1e-10
     # one extra application stays within the reported residual
     again = safety.policy_backup(res.q, g3, pi)
@@ -69,21 +72,20 @@ def test_policy_eval_matches_plain_iteration(g3):
 
 
 def test_optimal_fixed_points_on_anchors(g1, g2, g3):
-    q1 = safety.solve(g1, safety.optimal_backup, tol=1e-12).q
+    q1 = safety.solve(g1, safety.optimal_backup).q
     assert np.abs(q1 - 2.0).max() <= 1e-10
 
-    q2 = safety.solve(g2, safety.optimal_backup, tol=1e-12).q
+    q2 = safety.solve(g2, safety.optimal_backup).q
     assert q2[0, 0, 0] == pytest.approx(1.0, abs=1e-10)
     assert q2[0, 1, 0] == pytest.approx(-0.8, abs=1e-10)
     assert q2[1, 0, 0] == pytest.approx(-1.0, abs=1e-10)
 
-    q3 = safety.solve(g3, safety.optimal_backup, tol=1e-12).q
+    q3 = safety.solve(g3, safety.optimal_backup).q
     assert safety.state_value(q3)[0] < 0.0  # the adversary always mismatches
 
 
 def test_fixed_point_from_zeros(g1, g2):
-    res = safety.solve(g1, safety.optimal_backup,
-                       tol=1e-10, q0=np.zeros((1, 1, 1)))
+    res = safety.solve(g1, safety.optimal_backup)
     assert res.q[0, 0, 0] == pytest.approx(2.0, abs=1e-8)
     assert res.residual <= 1e-10
     assert res.error_bound == pytest.approx(
@@ -93,9 +95,19 @@ def test_fixed_point_from_zeros(g1, g2):
 
 
 def test_fixed_point_budget_exhaustion():
-    spec = make_random_spec(0, hazard_fraction=0.0, gamma_h=0.999)
+    # The exact solve caps improvements; value iteration caps sweeps.
+    spec = make_random_spec(0, gamma_h=0.999)
+    needed = safety.solve(spec, safety.optimal_backup).iterations
+    assert needed >= 2
     with pytest.raises(MaxIterExceeded) as err:
-        safety.solve(spec, safety.optimal_backup, tol=1e-10, max_iter=10)
+        safety.solve(spec, safety.optimal_backup, max_iter=needed - 1)
+    assert err.value.iterations == needed - 1
+    assert err.value.residual > 1e-10
+    flat = make_random_spec(0, hazard_fraction=0.0, gamma_h=0.999)
+    with pytest.raises(MaxIterExceeded) as err:
+        safety.fixed_point(lambda q: safety.optimal_backup(q, flat),
+                           np.zeros(flat.shape), flat.gamma_h, tol=1e-10,
+                           max_iter=10)
     assert err.value.iterations == 10
     assert err.value.residual > 1e-10
 
@@ -107,17 +119,21 @@ def test_fixed_point_rejects_bad_tol(g1):
 
 def test_improve_policy_prefers_safe_loop(g2):
     q = safety.solve(g2, safety.optimal_backup).q
-    pi = safety.improve_policy(q)
+    pi = safety.improve_policy(q, DetPolicy.constant(2, 1, PROTAGONIST))
     assert pi.action[0] == 0  # value 1 beats -0.8
     assert pi.role == PROTAGONIST
 
 
 def test_improve_policy_tie_breaks_low_index():
     uniform = np.zeros((3, 2, 2))
-    assert safety.improve_policy(uniform).action.tolist() == [0, 0, 0]
+    start = DetPolicy(np.array([0, 1, 0]), PROTAGONIST)
+    assert safety.improve_policy(uniform, start).action.tolist() == [0, 1, 0]
     q = np.zeros((1, 3, 1))
     q[0, :, 0] = [0.3, 0.7, 0.7]
-    assert safety.improve_policy(q).action[0] == 1
+    zero = DetPolicy.constant(1, 0, PROTAGONIST)
+    assert safety.improve_policy(q, zero).action[0] == 1
+    two = DetPolicy.constant(1, 2, PROTAGONIST)
+    assert safety.improve_policy(q, two).action[0] == 2
 
 
 def test_extract_invariant_set_anchors(g1, g2, g3):
@@ -213,8 +229,40 @@ def test_set_inclusion_chain():
         assert (~policy_set.member | optimal.member).all()
 
 
-def test_warm_start_reuses_iterate(g2):
-    cold = safety.solve(g2, safety.optimal_backup, tol=1e-12)
-    warm = safety.solve(g2, safety.optimal_backup, tol=1e-12, q0=cold.q)
-    assert warm.iterations <= 2
-    assert np.abs(warm.q - cold.q).max() <= 1e-10
+def test_exact_tables_agree_with_value_iteration():
+    # A random game and a grid of the benchmark's small-op sizes, at the
+    # sweep discounts; value iteration stopping at residual <= tol is within
+    # gamma_h * tol / (1 - gamma_h) of the fixed point.
+    tol = 1e-10
+    ladder = (make_random_spec(0, n_states=30, n_u=6, n_a=3,
+                               hazard_fraction=0.1),
+              gridworld(GridworldParams(width=8, height=8,
+                                        hazard_cells=((2, 3), (5, 1), (4, 6)),
+                                        goal_cell=(7, 7))))
+    for spec in ladder:
+        gammas = (0.99, 0.999)
+        swept = oracle.discounted_sweep(spec, gammas, tol=tol)
+        for gamma_h in gammas:
+            strict = dataclasses.replace(spec, gamma_h=gamma_h)
+            exact = safety.solve(strict, safety.optimal_backup)
+            assert exact.residual == 0.0
+            bound = gamma_h * tol / (1.0 - gamma_h)
+            assert np.abs(exact.q - swept[gamma_h]).max() <= bound + 1e-12
+
+
+def test_exact_solve_classifies_zero_values_on_a_push_grid():
+    # About 200 states of this grid hold the value 0 exactly.  Doubling
+    # alone leaves the max-min table a few ulps off its own backup, which
+    # flags every one of them ambiguous.
+    spec = gridworld(GridworldParams(width=32, height=32,
+                                     hazard_cells=push_grid_hazards(),
+                                     goal_cell=(31, 31)))
+    kernel = oracle.viability_kernel(spec)
+    for gamma_h in (0.99, 0.999):
+        strict = dataclasses.replace(spec, gamma_h=gamma_h)
+        res = safety.solve(strict, safety.optimal_backup)
+        inv = safety.extract_invariant_set(res.q, value_error=res.error_bound)
+        assert res.residual == 0.0
+        assert (safety.state_value(res.q)[kernel] == 0.0).sum() > 100
+        assert not inv.ambiguous.any()
+        assert np.array_equal(inv.member, kernel)
