@@ -7,10 +7,11 @@ rejected.  Q tables export as CSV with one row per (x, u, a) cell and 12
 significant digits; invariant sets render as binary PGM with 255 = member,
 128 = boundary-ambiguous, 0 = non-member.
 
-Exit codes: 0 success, 1 I/O, schema or flag-value error, 2 infeasible
-game (the returned safety table has no member state), 3 a safety solve's
-improvement budget or a task solve's sweep budget ran out, 4 verification
-property failed.
+Exit codes: 0 success, 1 I/O, schema or flag-value error, or a numerical
+failure of a matrix-game LP (printed as ``error: numerical failure: ...``),
+2 infeasible game (the returned safety table has no member state), 3 a
+safety solve's improvement budget or a task solve's sweep budget ran out,
+4 verification property failed.
 Diagnostics go to stderr; data goes to files or stdout.
 """
 
@@ -26,7 +27,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import dpi, envs, perf, safety, verify
-from .errors import InfeasibleGame, MaxIterExceeded
+from .errors import InfeasibleGame, MaxIterExceeded, NumericalFailure
 from .game import GameSpec, validate
 
 _REQUIRED_FIELDS = ("n_states", "n_u", "n_a", "gamma", "gamma_h",
@@ -244,7 +245,7 @@ def _resolve_game(args) -> Tuple[GameSpec, Optional[Tuple[int, int]]]:
 
 
 def cmd_solve(args) -> int:
-    _require_positive(args, "m", "n", "tol")
+    _require_positive(args, "m", "n", "tol", "max_iter")
     spec, grid_shape = _resolve_game(args)
     cfg = dpi.DpiConfig(m=args.m, n=args.n, tol=args.tol)
     result = dpi.run(spec, cfg, max_iter=args.max_iter)
@@ -400,6 +401,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (SchemaError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except NumericalFailure as exc:
+        print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 1
     except InfeasibleGame:
         print("infeasible: max max min Q_h^* < 0", file=sys.stderr)

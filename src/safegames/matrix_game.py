@@ -10,11 +10,19 @@ After shifting the payoff positive the problem reduces to the classic pair of
 LPs  min 1'y : P'y >= 1  and  max 1'z : P z <= 1, solved with a primal
 simplex tableau under Bland's anticycling rule.  The column player's optimal
 mixture comes out of the same tableau and certifies optimality.
+
+``solve_all`` solves a batch of games at once: games with one admissible row
+or one column are direct scans, and the rest are grouped by admissible-row
+count, so each group is one stack of equal-shape tableaux that pivots as a
+single array.  Every tableau follows the pivot sequence it would follow
+alone, so a game's strategy and value do not depend on the batch around it.
+``solve`` is a batch of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -22,6 +30,7 @@ from .errors import NumericalFailure
 
 _PIVOT_EPS = 1e-12
 _CERT_TOL = 1e-6
+_CHUNK = 256  # tableaux per simplex array, which bounds its memory
 
 
 @dataclass(frozen=True)
@@ -62,113 +71,143 @@ class MatrixGameSolution:
     value: float
 
 
-def _simplex_max(A: np.ndarray, b: np.ndarray, c: np.ndarray):
-    """Maximize c'z subject to A z <= b, z >= 0 with b >= 0.
+def _fail_if(bad: np.ndarray, games: np.ndarray, message: str) -> None:
+    """Raise NumericalFailure naming the first game whose flag is set."""
+    if bad.any():
+        raise NumericalFailure(f"game {games[np.argmax(bad)]}: {message}")
 
-    Returns (z, objective, duals) where duals are the multipliers of the
-    row constraints read off the slack columns.  Bland's rule (lowest
-    eligible index enters, ties in the ratio test resolved by lowest basis
-    index) keeps the pivot sequence deterministic and cycle-free.
+
+def _simplex_max(A: np.ndarray, games: np.ndarray):
+    """Maximize 1'z subject to A z <= 1, z >= 0 for each stacked A (c, m, n).
+
+    Returns the final tableaux (c, m+1, n+m+1) and bases (c, m); the duals
+    of the row constraints sit in the slack columns of the cost row.  Bland's
+    rule (lowest eligible index enters, ties in the ratio test resolved by
+    lowest basis index) keeps each tableau's pivot sequence deterministic
+    and cycle-free; a tableau stops pivoting once it is optimal.
     """
-    m, n = A.shape
-    T = np.zeros((m + 1, n + m + 1))
-    T[:m, :n] = A
-    T[:m, n:n + m] = np.eye(m)
-    T[:m, -1] = b
-    T[-1, :n] = -c
-    basis = np.arange(n, n + m)
+    c, m, n = A.shape
+    T = np.zeros((c, m + 1, n + m + 1))
+    T[:, :m, :n] = A
+    T[:, :m, n:n + m] = np.eye(m)
+    T[:, :m, -1] = 1.0
+    T[:, -1, :n] = -1.0
+    basis = np.empty((c, m), dtype=np.int64)  # np.tile leaves ~56 traced
+    basis[:] = np.arange(n, n + m)             # bytes alive per call
+    active = np.arange(c)
 
     while True:
-        enter = -1
-        for j in range(n + m):
-            if T[-1, j] < -_PIVOT_EPS:
-                enter = j
-                break
-        if enter < 0:
-            break
-        col = T[:m, enter]
-        feasible = col > _PIVOT_EPS
-        if not feasible.any():
-            raise NumericalFailure("unbounded simplex tableau")
-        ratios = np.full(m, np.inf)
-        ratios[feasible] = T[:m, -1][feasible] / col[feasible]
-        best = ratios.min()
-        ties = np.flatnonzero(ratios <= best + _PIVOT_EPS)
-        leave = ties[np.argmin(basis[ties])]
+        eligible = T[active, -1, :-1] < -_PIVOT_EPS
+        going = eligible.any(axis=1)
+        active, enter = active[going], eligible[going].argmax(axis=1)
+        if active.size == 0:
+            return T, basis
+        factor = T[active, :, enter]
+        feasible = factor[:, :m] > _PIVOT_EPS
+        _fail_if(~feasible.any(axis=1), games[active],
+                 "unbounded simplex tableau")
+        ratios = np.full((active.size, m), np.inf)
+        np.divide(T[active, :m, -1], factor[:, :m], out=ratios, where=feasible)
+        ties = ratios <= ratios.min(axis=1, keepdims=True) + _PIVOT_EPS
+        leave = np.where(ties, basis[active], n + m).argmin(axis=1)
 
-        T[leave] /= T[leave, enter]
+        # Row operations one tableau row at a time, on the pivoting tableaux
+        # only; the leaving row is overwritten with the pivot row afterwards.
+        lanes = np.arange(active.size)
+        piv = T[active, leave] / factor[lanes, leave][:, None]
+        rows = slice(None) if active.size == c else active
         for i in range(m + 1):
-            if i != leave:
-                T[i] -= T[i, enter] * T[leave]
-        basis[leave] = enter
+            T[rows, i] -= factor[:, i, None] * piv
+        T[active, leave] = piv
+        basis[active, leave] = enter
 
-    z = np.zeros(n)
-    for i, bi in enumerate(basis):
-        if bi < n:
-            z[bi] = T[i, -1]
-    duals = T[-1, n:n + m].copy()
-    return z, float(T[-1, -1]), duals
+
+def _solve_lp(sub: np.ndarray, games: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Row strategies (c, k) and values (c,) of stacked k-row games."""
+    c, k, n = sub.shape
+    low = sub.min(axis=(1, 2))
+    # Entries >= 1 keep the value positive.  max 1'z : shifted z <= 1 is the
+    # column player's scaled problem; the duals of its rows recover the row
+    # player's scaled strategy.
+    T, basis = _simplex_max(sub + (1.0 - low)[:, None, None], games)
+    objective = T[:, -1, -1]
+    _fail_if(objective <= 0.0, games, "nonpositive simplex objective")
+
+    s = np.clip(T[:, -1, n:n + k], 0.0, None) * (1.0 / objective)[:, None]
+    total = s.sum(axis=1)
+    _fail_if(total <= 0.0, games, "degenerate row strategy")
+    s /= total[:, None]
+    # The reported value is the security level actually guaranteed by the
+    # returned strategy, so the per-column bound holds by construction.
+    # matmul runs the same product per game as a lone ``s @ sub``.
+    value = np.matmul(s[:, None, :], sub)[:, 0].min(axis=1)
+
+    # Dual certificate: the column mixture must cap every admissible row at
+    # the same value, within 1e-6 times max(1, payoff range).
+    z = np.zeros((c, n))
+    g, i = np.nonzero(basis < n)
+    z[g, basis[g, i]] = T[g, i, -1]
+    t = np.clip(z, 0.0, None)
+    t_total = t.sum(axis=1)
+    _fail_if(t_total <= 0.0, games, "degenerate column strategy")
+    t /= t_total[:, None]
+    gap = np.matmul(sub, t[:, :, None])[:, :, 0].max(axis=1) - value
+    cert_tol = _CERT_TOL * np.maximum(1.0, sub.max(axis=(1, 2)) - low)
+    bad = gap > cert_tol
+    if bad.any():
+        j = np.argmax(bad)
+        raise NumericalFailure(f"game {games[j]}: certificate gap {gap[j]:.3e} "
+                               f"exceeds {cert_tol[j]:.3e}")
+    return s, value
+
+
+def solve_all(payoff: np.ndarray,
+              admissible: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Solve a batch of restricted matrix games for the row player.
+
+    ``payoff`` is (B, n_u, n_a) and ``admissible`` a (B, n_u) boolean row
+    mask.  Returns the optimal strategies (B, n_u), with zero mass on
+    inadmissible rows, and the values (B,); a game without admissible rows
+    gets a zero strategy and a NaN value.  Single-row and single-column games
+    are direct scans; the others run the simplex on their admissible rows,
+    taken in index order, grouped by row count in chunks of at most 256
+    games.  Raises NumericalFailure, naming the game's index in the batch,
+    when a game's primal/dual certificates disagree by more than 1e-6 times
+    max(1, payoff range of its admissible submatrix), so the test scales
+    with the payoffs.
+    """
+    payoff = np.asarray(payoff, dtype=np.float64)
+    admissible = np.asarray(admissible, dtype=bool)
+    n_games, n_rows, n_cols = payoff.shape
+    if admissible.shape != (n_games, n_rows):
+        raise ValueError("admissible must be one row mask per game")
+    if not np.isfinite(payoff).all():
+        raise ValueError("payoff must be finite")
+    counts = admissible.sum(axis=1)
+    strategy = np.zeros((n_games, n_rows))
+    value = np.full(n_games, np.nan)
+
+    # One admissible row meets its minimizing column; with one column the
+    # best admissible row wins, the lowest index on ties.
+    scan = np.flatnonzero(counts == 1 if n_cols > 1 else counts > 0)
+    low = payoff[scan].min(axis=2)
+    best = np.where(admissible[scan], low, -np.inf).argmax(axis=1)
+    strategy[scan, best] = 1.0
+    value[scan] = low[np.arange(scan.size), best]
+
+    for k in np.unique(counts[counts > 1]) if n_cols > 1 else ():
+        games = np.flatnonzero(counts == k)
+        rows = np.nonzero(admissible[games])[1].reshape(games.size, k)
+        for part in range(0, games.size, _CHUNK):
+            g = games[part:part + _CHUNK]
+            r = rows[part:part + _CHUNK]
+            strategy[g[:, None], r], value[g] = _solve_lp(payoff[g[:, None], r], g)
+    return strategy, value
 
 
 def solve(game: RestrictedMatrixGame) -> MatrixGameSolution:
-    """Solve the restricted matrix game for the row player.
-
-    Degenerate single-row and single-column games short-circuit to direct
-    scans; otherwise the LP runs on the admissible submatrix and the strategy
-    is re-expanded with zero mass on the removed rows.  Raises
-    NumericalFailure when the primal/dual certificates disagree by more than
-    1e-6 times max(1, payoff range of the admissible submatrix), so the test
-    scales with the payoffs and is never stricter than 1e-6.
-    """
-    rows = game.admissible_rows
-    n_rows, n_cols = game.payoff.shape
-    sub = game.payoff[rows]
-
-    strategy = np.zeros(n_rows)
-
-    if rows.size == 1:
-        # Pure row: the adversary just picks the minimizing column.
-        strategy[rows[0]] = 1.0
-        return MatrixGameSolution(strategy, float(sub[0].min()))
-
-    if n_cols == 1:
-        best = int(sub[:, 0].argmax())  # lowest index wins ties
-        strategy[rows[best]] = 1.0
-        return MatrixGameSolution(strategy, float(sub[best, 0]))
-
-    shift = 1.0 - float(sub.min())  # entries >= 1 keep the value positive
-    shifted = sub + shift
-
-    # max 1'z : shifted z <= 1 is the column player's scaled problem; the
-    # duals of its rows recover the row player's scaled strategy.
-    z, objective, duals = _simplex_max(
-        shifted, np.ones(rows.size), np.ones(n_cols))
-    if objective <= 0.0:
-        raise NumericalFailure("nonpositive simplex objective")
-    shifted_value = 1.0 / objective
-
-    s = np.clip(duals, 0.0, None) * shifted_value
-    total = s.sum()
-    if total <= 0.0:
-        raise NumericalFailure("degenerate row strategy")
-    s /= total
-    strategy[rows] = s
-
-    # The reported value is the security level actually guaranteed by the
-    # returned strategy, so the per-column bound holds by construction.
-    value = float((s @ sub).min())
-
-    # Dual certificate: the column mixture must cap every admissible row at
-    # the same value.
-    t = np.clip(z, 0.0, None)
-    t_total = t.sum()
-    if t_total <= 0.0:
-        raise NumericalFailure("degenerate column strategy")
-    t /= t_total
-    upper = float((sub @ t).max())
-    cert_tol = _CERT_TOL * max(1.0, float(sub.max() - sub.min()))
-    if upper - value > cert_tol:
-        raise NumericalFailure(
-            f"certificate gap {upper - value:.3e} exceeds {cert_tol:.3e}")
-
-    return MatrixGameSolution(strategy, value)
+    """Solve one restricted matrix game: ``solve_all`` on a batch of one."""
+    mask = np.zeros(game.payoff.shape[0], dtype=bool)
+    mask[game.admissible_rows] = True
+    strategy, value = solve_all(game.payoff[None], mask[None])
+    return MatrixGameSolution(strategy[0], float(value[0]))

@@ -116,9 +116,10 @@ def solve_induced_game(spec: GameSpec, inv: InvariantSet,
     """Solve the restricted game from scratch by Shapley iteration.
 
     Builds the induced game (member states, admissible rows) explicitly and
-    iterates per-state matrix-game values to a fixed point.  Only member
-    rows with admissible actions are meaningful in the returned table; other
-    cells are zero.
+    iterates per-state matrix-game values to a fixed point; each sweep
+    solves all member games in one ``matrix_game.solve_all`` batch.  Only
+    member rows with admissible actions are meaningful in the returned
+    table; other cells are zero.
     """
     members = np.flatnonzero(inv.member)
     rows = {int(x): inv.admissible_actions(x) for x in members}
@@ -131,15 +132,13 @@ def solve_induced_game(spec: GameSpec, inv: InvariantSet,
                     f"admissible action {u} at member state {x} reaches "
                     f"non-member state {bad}")
 
+    admissible = inv.admissible[members]
+    reward, successors = spec.reward[members], spec.transition[members]
     values = np.zeros(spec.n_states)
     for it in range(1, max_iter + 1):
         new_values = values.copy()
-        for x in members:
-            r = rows[int(x)]
-            payoff = spec.reward[x, r, :] + spec.gamma * values[spec.transition[x, r, :]]
-            sol = matrix_game.solve(
-                matrix_game.RestrictedMatrixGame(payoff, np.arange(r.size)))
-            new_values[x] = sol.value
+        payoff = reward + spec.gamma * values[successors]
+        new_values[members] = matrix_game.solve_all(payoff, admissible)[1]
         residual = float(np.abs(new_values - values).max())
         values = new_values
         if residual <= tol:

@@ -47,19 +47,13 @@ def minimax_policy_backup(q: np.ndarray, spec: GameSpec, pi: MixedPolicy) -> np.
 
 def member_games(q: np.ndarray,
                  inv: InvariantSet) -> Tuple[np.ndarray, np.ndarray]:
-    """Matrix game over the admissible rows at each member state.
+    """Matrix game over the admissible rows at each member state, all in
+    one ``matrix_game.solve_all`` batch.
 
     Returns the per-state optimal strategy and value: the LP solution on
     member states, zero strategy rows and NaN values elsewhere.
     """
-    n_states, n_u = inv.admissible.shape
-    strategy = np.zeros((n_states, n_u))
-    value = np.full(n_states, np.nan)
-    for x in np.flatnonzero(inv.member):
-        sol = matrix_game.solve(matrix_game.restricted(q[x], inv.admissible[x]))
-        strategy[x] = sol.strategy
-        value[x] = sol.value
-    return strategy, value
+    return matrix_game.solve_all(q, inv.admissible & inv.member[:, None])
 
 
 def constrained_backup(q: np.ndarray, spec: GameSpec, inv: InvariantSet) -> np.ndarray:

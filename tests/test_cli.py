@@ -355,6 +355,8 @@ def test_gamma_overrides(tmp_path):
     ["solve", "--random", "--hazard-frac", "1.0"],
     ["solve", "--random", "--m", "0"],
     ["solve", "--random", "--tol", "0"],
+    ["solve", "--random", "--max-iter", "0"],
+    ["solve", "--random", "--max-iter", "-1"],
     ["verify", "--random", "--tol", "-1"],
     ["sweep", "--random", "--gammas", "abc"],
     ["sweep", "--random", "--gammas", "1.5"],
@@ -365,3 +367,16 @@ def test_bad_flag_values_exit_1_without_traceback(tmp_path, capsys, argv):
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_lp_numerical_failure_exits_1_without_traceback(tmp_path, capsys):
+    # Rewards scaled by 1e12 break the simplex's absolute pivot tolerance
+    # (1e9 still solves); the failure is reported, not raised.
+    spec = random_game(RandomGameParams(seed=3, n_states=6, n_u=2, n_a=2))
+    path = tmp_path / "g.json"
+    save_game(dataclasses.replace(spec, reward=spec.reward * 1e12), path)
+    assert cli.main(["solve", "--game", str(path),
+                     "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: numerical failure: ")
+    assert "certificate gap" in err and "Traceback" not in err

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
-from safegames.errors import NumericalFailure
-from safegames.matrix_game import RestrictedMatrixGame, restricted, solve
+from safegames import DpiConfig, NumericalFailure, dpi, matrix_game, perf
+from safegames.envs import GridworldParams, gridworld
+from safegames.matrix_game import (RestrictedMatrixGame, restricted, solve,
+                                   solve_all)
+from conftest import make_random_spec, push_grid_hazards
 from lp_oracle import solve_support_enumeration
+from serial_simplex import solve_serial
 
 PENNIES = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
@@ -120,3 +124,92 @@ def test_certificate_tolerance_scales_with_the_payoffs():
                                (unscaled[k].strategy, unscaled[k].value))
             assert abs(sol.value / scale - value) <= 1e-8
             assert np.abs(sol.strategy - strategy).max() <= 1e-8
+
+
+def _recorded_member_games(spec, monkeypatch):
+    """The (q, inv) arguments of every ``perf.member_games`` call in one
+    ``dpi.run``."""
+    calls = []
+    real = perf.member_games
+
+    def record(q, inv):
+        calls.append((q.copy(), inv))
+        return real(q, inv)
+
+    monkeypatch.setattr(perf, "member_games", record)
+    dpi.run(spec, DpiConfig())
+    monkeypatch.undo()
+    return calls
+
+
+def _assert_matches_serial(payoff, admissible, strategy, value):
+    for b in np.flatnonzero(admissible.any(axis=1)):
+        ref_strategy, ref_value = solve_serial(payoff[b], admissible[b])
+        assert np.array_equal(strategy[b], ref_strategy)
+        assert value[b] == ref_value
+
+
+@pytest.mark.parametrize("which", ["random300", "push_grid"])
+def test_member_games_match_the_serial_simplex_bit_for_bit(which, monkeypatch):
+    # Random 300-state game: 2-6 admissible rows of 3 columns, 30 steps
+    # (every fifth step is checked).  Push grid: 1-5 rows of 5 columns,
+    # mostly pure saddles, groups above one chunk.
+    if which == "random300":
+        spec = make_random_spec(0, n_states=300, n_u=6, n_a=3,
+                                hazard_fraction=0.1)
+        step = 5
+    else:
+        spec = gridworld(GridworldParams(width=32, height=32,
+                                         hazard_cells=push_grid_hazards(),
+                                         goal_cell=(31, 31)))
+        step = 1
+    calls = _recorded_member_games(spec, monkeypatch)[::step]
+    assert len(calls) >= 4
+    for q, inv in calls:
+        strategy, value = perf.member_games(q, inv)
+        assert np.isnan(value[~inv.member]).all()
+        assert not strategy[~inv.member].any()
+        _assert_matches_serial(q, inv.admissible & inv.member[:, None],
+                               strategy, value)
+
+
+def _mixed_batch(n_cols, size=700, seed=0):
+    """Games of 0-6 admissible rows, with tied rows and payoffs on a coarse
+    grid (many ties), and more games of one row count than fit in a chunk."""
+    rng = np.random.default_rng(seed)
+    payoff = rng.uniform(-1.0, 1.0, (size, 6, n_cols))
+    payoff[::3] = np.round(3.0 * payoff[::3]) / 3.0
+    payoff[1::5, 1] = payoff[1::5, 0]  # two identical rows
+    admissible = rng.random((size, 6)) < 0.5
+    admissible[:300] = [True, True, True, False, False, False]
+    admissible[300:320] = False
+    admissible[320:340] = np.eye(6, dtype=bool)[rng.integers(0, 6, 20)]
+    return payoff, admissible
+
+
+@pytest.mark.parametrize("n_cols", [1, 3])
+def test_batch_composition_does_not_change_a_game(n_cols):
+    payoff, admissible = _mixed_batch(n_cols)
+    assert (admissible.sum(axis=1) == 3).sum() > matrix_game._CHUNK
+    strategy, value = solve_all(payoff, admissible)
+    _assert_matches_serial(payoff, admissible, strategy, value)
+    for b in range(payoff.shape[0]):
+        alone_strategy, alone_value = solve_all(payoff[b:b + 1],
+                                                admissible[b:b + 1])
+        assert np.array_equal(alone_strategy[0], strategy[b])
+        assert np.array_equal(alone_value[0], value[b], equal_nan=True)
+    empty = ~admissible.any(axis=1)
+    assert np.isnan(value[empty]).all() and not strategy[empty].any()
+
+
+def test_solve_all_names_the_failing_game():
+    # Game 1 is a member game of the 6-state random game with seed 3 and
+    # rewards scaled by 1e12, rounded; the absolute pivot tolerance is too
+    # coarse at this scale, while the batch divided by 1e3 solves.
+    payoff = np.array([[[1.0, 0.0], [0.0, 1.0]],
+                       [[7.21e12, 7.89e12], [7.91e12, 7.62e12]],
+                       [[2.0, -1.0], [0.0, 3.0]]])
+    admissible = np.ones((3, 2), dtype=bool)
+    with pytest.raises(NumericalFailure, match="^game 1: certificate gap"):
+        solve_all(payoff, admissible)
+    assert np.isfinite(solve_all(payoff / 1e3, admissible)[1]).all()

@@ -1,4 +1,5 @@
-"""Property tests of the exact safety solve on small generated games.
+"""Property tests of the exact safety solve and of the batched matrix-game
+LP on small generated inputs.
 
 Constraint values come from a small set of levels, so on games of at most
 five states a state outside the viability kernel reaches a negative level
@@ -8,9 +9,11 @@ within five steps and its value at gamma_h = 0.999 is clearly negative.
 import dataclasses
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from safegames import GameSpec, oracle, safety
+from safegames import GameSpec, matrix_game, oracle, safety
+from lp_oracle import solve_support_enumeration
 
 LEVELS = (-1.0, 0.0, 0.5, 1.0, 2.0)
 
@@ -71,3 +74,55 @@ def test_membership_matches_the_viability_kernel(spec):
     inv = safety.extract_invariant_set(res.q, value_error=res.error_bound)
     kernel = oracle.viability_kernel(spec)
     assert ((inv.member == kernel) | inv.ambiguous).all()
+
+
+@st.composite
+def game_batches(draw):
+    """Up to four games of at most 6x5 payoffs in [-1, 1], each with a
+    nonempty admissible-row mask, and one payoff scale for the batch."""
+    size = draw(st.integers(1, 4))
+    n_u, n_a = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    cells = size * n_u * n_a
+    payoff = draw(st.lists(st.floats(-1.0, 1.0, allow_subnormal=False),
+                           min_size=cells, max_size=cells))
+    masks = [draw(st.lists(st.booleans(), min_size=n_u, max_size=n_u)
+                  .filter(any)) for _ in range(size)]
+    scale = draw(st.sampled_from((1e-6, 1e-3, 1.0, 1e3, 1e6, 1e9)))
+    return np.reshape(payoff, (size, n_u, n_a)), np.array(masks), scale
+
+
+def _linprog_value(payoff, rows):
+    """max v s.t. s' payoff[rows] >= v on every column, s a distribution."""
+    from scipy.optimize import linprog
+    sub = payoff[rows]
+    k, n = sub.shape
+    res = linprog(np.r_[np.zeros(k), -1.0],
+                  A_ub=np.c_[-sub.T, np.ones(n)], b_ub=np.zeros(n),
+                  A_eq=np.r_[np.ones(k), 0.0][None], b_eq=[1.0],
+                  bounds=[(0, None)] * k + [(None, None)], method="highs")
+    assert res.status == 0
+    return -res.fun
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(game_batches())
+def test_batched_lp_values_match_support_enumeration(batch):
+    payoff, admissible, scale = batch
+    strategy, value = matrix_game.solve_all(scale * payoff, admissible)
+    for b in range(payoff.shape[0]):
+        rows = np.flatnonzero(admissible[b])
+        _, reference = solve_support_enumeration(payoff[b], rows)
+        assert abs(value[b] / scale - reference) <= 1e-8
+        assert not strategy[b][~admissible[b]].any()
+        assert abs(strategy[b].sum() - 1.0) <= 1e-12
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(game_batches())
+def test_batched_lp_values_match_linprog(batch):
+    pytest.importorskip("scipy")
+    payoff, admissible, scale = batch
+    value = matrix_game.solve_all(scale * payoff, admissible)[1]
+    for b in range(payoff.shape[0]):
+        reference = _linprog_value(payoff[b], np.flatnonzero(admissible[b]))
+        assert abs(value[b] / scale - reference) <= 1e-9
