@@ -5,7 +5,7 @@ game LPs, dual policy/safety iteration, and brute-force oracles."""
 from .errors import (BudgetExceeded, InfeasibleGame, MaxIterExceeded,
                      NonMemberSuccessor, NumericalFailure)
 from .game import (ADVERSARY, PROTAGONIST, DetPolicy, GameSpec, MixedPolicy,
-                   Trajectory, ValidationReport, rollout, validate)
+                   ValidationReport, validate)
 from .safety import FixedPointResult, InvariantSet
 from .matrix_game import MatrixGameSolution, RestrictedMatrixGame
 from .dpi import ConvergenceReport, DpiConfig, DpiResult, DpiTrace
@@ -15,8 +15,7 @@ __all__ = [
     "ADVERSARY", "PROTAGONIST",
     "BudgetExceeded", "InfeasibleGame", "MaxIterExceeded",
     "NonMemberSuccessor", "NumericalFailure",
-    "DetPolicy", "GameSpec", "MixedPolicy", "Trajectory", "ValidationReport",
-    "rollout", "validate",
+    "DetPolicy", "GameSpec", "MixedPolicy", "ValidationReport", "validate",
     "FixedPointResult", "InvariantSet",
     "MatrixGameSolution", "RestrictedMatrixGame",
     "ConvergenceReport", "DpiConfig", "DpiResult", "DpiTrace",

@@ -2,10 +2,11 @@
 
 Game specs travel as JSON with fields n_states, n_u, n_a, gamma, gamma_h,
 transition (nested x -> u -> a lists of state indices), reward (same shape),
-h (per-state constraint values) and optional labels.  Unknown fields are
-rejected.  Q tables export as CSV with one row per (x, u, a) cell and 12
-significant digits; invariant sets render as binary PGM with 255 = member,
-128 = boundary-ambiguous, 0 = non-member.
+h (per-state constraint values) and optional labels.  Counts must be
+integers and the arrays rectangular; unknown fields are rejected.  Q tables
+export as CSV with one row per (x, u, a) cell and 12 significant digits;
+invariant sets render as binary PGM with 255 = member, 128 =
+boundary-ambiguous, 0 = non-member.
 
 Exit codes: 0 success, 1 I/O, schema or flag-value error, or a numerical
 failure of a matrix-game LP (printed as ``error: numerical failure: ...``),
@@ -18,6 +19,7 @@ Diagnostics go to stderr; data goes to files or stdout.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
@@ -52,21 +54,31 @@ def load_game(path) -> Tuple[GameSpec, Optional[list]]:
     if missing:
         raise SchemaError(f"missing fields: {', '.join(missing)}")
 
-    transition = np.asarray(data["transition"])
-    if transition.dtype.kind not in "iu":
-        raise SchemaError("transition entries must be integers")
+    def field(name, kinds, what, scalar=False):
+        try:
+            value = np.asarray(data[name])
+        except ValueError:  # ragged nesting
+            value = np.asarray(None)
+        if value.dtype.kind not in kinds or (scalar and value.ndim):
+            raise SchemaError(f"{name} must be {what}")
+        return value
+
+    counts = {k: int(field(k, "iu", "an integer", True))
+              for k in ("n_states", "n_u", "n_a")}
     spec = GameSpec(
-        n_states=int(data["n_states"]), n_u=int(data["n_u"]),
-        n_a=int(data["n_a"]), transition=transition,
-        reward=np.asarray(data["reward"], dtype=np.float64),
-        constraint=np.asarray(data["h"], dtype=np.float64),
-        gamma=float(data["gamma"]), gamma_h=float(data["gamma_h"]))
+        **counts,
+        transition=field("transition", "iu", "an array of integers"),
+        reward=field("reward", "iuf", "an array of numbers"),
+        constraint=field("h", "iuf", "an array of numbers"),
+        gamma=float(field("gamma", "iuf", "a number", True)),
+        gamma_h=float(field("gamma_h", "iuf", "a number", True)))
     report = validate(spec)
     if not report.ok:
         raise SchemaError("; ".join(report.errors))
     labels = data.get("labels")
-    if labels is not None and len(labels) != spec.n_states:
-        raise SchemaError("labels length must equal n_states")
+    if labels is not None and not (isinstance(labels, list)
+                                   and len(labels) == spec.n_states):
+        raise SchemaError("labels must be a list of n_states entries")
     return spec, labels
 
 
@@ -85,14 +97,20 @@ def save_game(spec: GameSpec, path, labels=None) -> None:
         fh.write("\n")
 
 
+def _write_cells(fh, q: np.ndarray, prefix: str = "") -> None:
+    """Write one CSV row per (x, u, a) cell: the indices, ``prefix`` and the
+    value to 12 significant digits.  One state's values at a time become
+    Python floats, which format like numpy's and index faster."""
+    for x in range(q.shape[0]):
+        for u, row in enumerate(q[x].tolist()):
+            for a, value in enumerate(row):
+                fh.write(f"{x},{u},{a},{prefix}{value:.12g}\n")
+
+
 def write_q_csv(path, q: np.ndarray) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("x,u,a,value\n")
-        n_states, n_u, n_a = q.shape
-        for x in range(n_states):
-            for u in range(n_u):
-                for a in range(n_a):
-                    fh.write(f"{x},{u},{a},{q[x, u, a]:.12g}\n")
+        _write_cells(fh, q)
 
 
 def read_q_csv(path, shape) -> np.ndarray:
@@ -182,11 +200,12 @@ def _add_source_args(parser: argparse.ArgumentParser) -> None:
                         help="override the safety discount")
 
 
-def _parse_cell(text: str) -> Tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise SchemaError(f"bad cell {text!r}, expected X,Y")
-    return int(parts[0]), int(parts[1])
+def _parse_cell(flag: str, text: str) -> Tuple[int, int]:
+    try:
+        x, y = (int(part) for part in text.split(","))
+    except ValueError as exc:
+        raise SchemaError(f"bad {flag} {text!r}, expected X,Y") from exc
+    return x, y
 
 
 def _generate(generator, params) -> GameSpec:
@@ -224,8 +243,8 @@ def _resolve_game(args) -> Tuple[GameSpec, Optional[Tuple[int, int]]]:
             width, height = int(w_text), int(h_text)
         except ValueError as exc:
             raise SchemaError(f"bad grid size {args.grid!r}, expected WxH") from exc
-        hazards = tuple(_parse_cell(h) for h in (args.hazard or ()))
-        goal = _parse_cell(args.goal) if args.goal else (width - 1, height - 1)
+        hazards = tuple(_parse_cell("--hazard", h) for h in (args.hazard or ()))
+        goal = _parse_cell("--goal", args.goal) if args.goal else (width - 1, height - 1)
         params = envs.GridworldParams(
             width=width, height=height, hazard_cells=hazards,
             goal_cell=goal, adversary_strength=args.adv)
@@ -301,19 +320,14 @@ def _parse_gammas(text: str) -> list:
 def cmd_sweep(args) -> int:
     gammas = _parse_gammas(args.gammas)
     spec, _ = _resolve_game(args)
-    lines = ["x,u,a,gamma_h,value"]
-    for gamma_h in gammas:
-        strict = dataclasses.replace(spec, gamma_h=gamma_h)
-        q = safety.solve(strict, safety.optimal_backup).q
-        for x in range(spec.n_states):
-            for u in range(spec.n_u):
-                for a in range(spec.n_a):
-                    lines.append(f"{x},{u},{a},{gamma_h:.12g},{q[x, u, a]:.12g}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    tables = [(gamma_h, safety.solve(dataclasses.replace(spec, gamma_h=gamma_h),
+                                     safety.optimal_backup).q)
+              for gamma_h in gammas]
+    with (open(args.out, "w", encoding="utf-8") if args.out
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        fh.write("x,u,a,gamma_h,value\n")
+        for gamma_h, q in tables:
+            _write_cells(fh, q, f"{gamma_h:.12g},")
     return 0
 
 
@@ -392,12 +406,7 @@ def _load_config(argv):
 
 def main(argv=None) -> int:
     try:
-        parser = build_parser(_load_config(argv))
-    except (SchemaError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    args = parser.parse_args(argv)
-    try:
+        args = build_parser(_load_config(argv)).parse_args(argv)
         return args.func(args)
     except (SchemaError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

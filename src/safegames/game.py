@@ -138,57 +138,3 @@ class MixedPolicy:
     def support(self) -> np.ndarray:
         """Boolean (n_states, n_actions) mask of actions with positive mass."""
         return self.prob > 0.0
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """A deterministic rollout, truncated one step after the first revisit.
-
-    ``states`` has one more entry than the action sequences; ``cycle_start``
-    is the index of the first occurrence of the repeated final state.
-    """
-
-    states: np.ndarray
-    prot_actions: np.ndarray
-    adv_actions: np.ndarray
-    cycle_start: int
-
-
-def rollout(spec: GameSpec, x0: int, u0: int, a0: int,
-            pi: DetPolicy, mu: DetPolicy) -> Trajectory:
-    """Roll the deterministic dynamics from (x0, u0, a0).
-
-    The first step applies (u0, a0); afterwards both players follow their
-    policies.  Stops one step after a state repeats, which happens within
-    n_states + 1 entries on a finite state space.
-    """
-    if pi.role != PROTAGONIST:
-        raise ValueError("pi must be a protagonist policy")
-    if mu.role != ADVERSARY:
-        raise ValueError("mu must be an adversary policy")
-    if not (0 <= x0 < spec.n_states and 0 <= u0 < spec.n_u and 0 <= a0 < spec.n_a):
-        raise ValueError("start indices out of range")
-
-    states = [int(x0)]
-    prot_actions = []
-    adv_actions = []
-    first_seen = {int(x0): 0}
-    u, a = int(u0), int(a0)
-    x = int(x0)
-    while True:
-        prot_actions.append(u)
-        adv_actions.append(a)
-        x = int(spec.transition[x, u, a])
-        states.append(x)
-        if x in first_seen:
-            cycle_start = first_seen[x]
-            break
-        first_seen[x] = len(states) - 1
-        u = int(pi.action[x])
-        a = int(mu.action[x])
-    return Trajectory(
-        states=np.array(states, dtype=np.int64),
-        prot_actions=np.array(prot_actions, dtype=np.int64),
-        adv_actions=np.array(adv_actions, dtype=np.int64),
-        cycle_start=cycle_start,
-    )

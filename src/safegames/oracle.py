@@ -24,20 +24,11 @@ ENUM_BUDGET = 10_000_000
 
 def trajectory_min_constraint(spec: GameSpec, x0: int, u0: int, a0: int,
                               pi_h: DetPolicy, mu_h: DetPolicy) -> float:
-    """Exact infinite-horizon minimum of h along the rollout from (x0,u0,a0).
-
-    The deterministic orbit revisits a state within n_states steps, after
-    which it repeats, so the minimum over the visited prefix is exact.
-    """
-    h = spec.constraint
-    worst = float(h[x0])
-    seen = {int(x0)}
-    x = int(spec.transition[x0, u0, a0])
-    while x not in seen:
-        seen.add(x)
-        worst = min(worst, float(h[x]))
-        x = int(spec.transition[x, pi_h.action[x], mu_h.action[x]])
-    return worst
+    """Exact infinite-horizon minimum of h along the rollout from (x0,u0,a0):
+    h at x0, then the closed-loop orbit minimum from the first successor."""
+    orbit_min = _closed_loop_orbit_min(spec, pi_h.action, mu_h.action)
+    return float(min(spec.constraint[x0],
+                     orbit_min[spec.transition[x0, u0, a0]]))
 
 
 def _closed_loop_orbit_min(spec: GameSpec, prot: np.ndarray, adv: np.ndarray) -> np.ndarray:
@@ -119,19 +110,18 @@ def solve_induced_game(spec: GameSpec, inv: InvariantSet,
     iterates per-state matrix-game values to a fixed point; each sweep
     solves all member games in one ``matrix_game.solve_all`` batch.  Only
     member rows with admissible actions are meaningful in the returned
-    table; other cells are zero.
+    table; other cells are zero.  Raises NonMemberSuccessor, naming the
+    first exit ``find_invariance_violations`` reports, when the set is not
+    closed under its admissible actions.
     """
-    members = np.flatnonzero(inv.member)
-    rows = {int(x): inv.admissible_actions(x) for x in members}
-    for x in members:
-        for u in rows[int(x)]:
-            succ = spec.transition[x, u, :]
-            if not inv.member[succ].all():
-                bad = succ[~inv.member[succ]][0]
-                raise NonMemberSuccessor(
-                    f"admissible action {u} at member state {x} reaches "
-                    f"non-member state {bad}")
+    violations, _ = find_invariance_violations(spec, inv)
+    if violations:
+        x, u, _a, bad = violations[0]
+        raise NonMemberSuccessor(
+            f"admissible action {u} at member state {x} reaches "
+            f"non-member state {bad}")
 
+    members = np.flatnonzero(inv.member)
     admissible = inv.admissible[members]
     reward, successors = spec.reward[members], spec.transition[members]
     values = np.zeros(spec.n_states)
@@ -148,12 +138,9 @@ def solve_induced_game(spec: GameSpec, inv: InvariantSet,
             f"induced game residual {residual:.3e} after {max_iter} sweeps",
             residual=residual, iterations=max_iter)
 
-    q = np.zeros(spec.shape)
-    for x in members:
-        for u in rows[int(x)]:
-            succ = spec.transition[x, u, :]
-            q[x, u, :] = spec.reward[x, u, :] + spec.gamma * values[succ]
-    return q
+    cells = inv.member[:, None, None] & inv.admissible[:, :, None]
+    return np.where(cells, spec.reward + spec.gamma * values[spec.transition],
+                    0.0)
 
 
 def viability_kernel(spec: GameSpec) -> np.ndarray:

@@ -17,10 +17,14 @@ With deterministic policies of both players fixed, every state x has one
 successor g(x) and its value obeys v(x) = min(h(x), (1 - gamma_h) h(x) +
 gamma_h v(g(x))).  Maps y -> min(A, B + c y) compose into maps of the same
 form, so pointer doubling evaluates every state in about
-log2(37 / (1 - gamma_h)) vector steps (16 at gamma_h = 0.999).  On top of
-that evaluation the adversary's best response comes from policy iteration,
-and the max-min table from Hoffman-Karp strategy iteration of the
-protagonist around it; both stop after finitely many improvements.  No
+log2(37 / (1 - gamma_h)) vector steps (16 at gamma_h = 0.999).  The
+bit-exact finish after it costs more: one pass per orbit step on which a
+bit still changes.  A max-min solve needed at most 13 such passes per
+evaluation on a 300-state random game at gamma_h = 0.999, 12 on the 32x32
+push grid (gamma_h = 0.99) and 8,744 on a 20,000-state corridor.  On top
+of that evaluation the adversary's best response comes from policy
+iteration, and the max-min table from Hoffman-Karp strategy iteration of
+the protagonist around it; both stop after finitely many improvements.  No
 solve is warm-started.  ``fixed_point`` is plain value iteration of any
 contraction, which the task side (``perf.solve``) uses.
 """
@@ -212,9 +216,6 @@ class InvariantSet:
         if self.ambiguous is None:
             object.__setattr__(self, "ambiguous",
                                np.zeros(self.member.shape, dtype=bool))
-
-    def admissible_actions(self, x: int) -> np.ndarray:
-        return np.flatnonzero(self.admissible[x])
 
     def member_count(self) -> int:
         return int(self.member.sum())

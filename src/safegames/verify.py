@@ -51,45 +51,41 @@ def _operators(spec: GameSpec, rng):
     )
 
 
-def contraction_check(spec: GameSpec, pairs: int = 200, seed: int = 0) -> PropertyResult:
-    """Every backup shrinks sup-norm distances by its discount factor."""
+def _operator_check(spec: GameSpec, pairs: int, seed: int, spread, excess):
+    """Worst ``excess(op, gamma, q, d)`` and the count above float slack,
+    over ``pairs`` draws of q ~ U(-2, 2) and d ~ U(``spread``), each with a
+    fresh draw of the operators; also returns the operator count."""
     rng = np.random.default_rng(seed)
-    worst = -np.inf
-    violations = 0
-    ops = ()
+    worst, violations, ops = -np.inf, 0, ()
     for _ in range(pairs):
-        q1 = rng.uniform(-2.0, 2.0, spec.shape)
-        q2 = rng.uniform(-2.0, 2.0, spec.shape)
-        dist = np.abs(q1 - q2).max()
+        q = rng.uniform(-2.0, 2.0, spec.shape)
+        d = rng.uniform(*spread, spec.shape)
         ops = _operators(spec, rng)
         for op, gamma in ops:
-            excess = np.abs(op(q1) - op(q2)).max() - gamma * dist
-            worst = max(worst, excess)
-            if excess > _FLOAT_SLACK:
-                violations += 1
+            e = excess(op, gamma, q, d)
+            worst = max(worst, e)
+            violations += bool(e > _FLOAT_SLACK)
+    return worst, violations, len(ops)
+
+
+def contraction_check(spec: GameSpec, pairs: int = 200, seed: int = 0) -> PropertyResult:
+    """Every backup shrinks sup-norm distances by its discount factor."""
+    worst, violations, n_ops = _operator_check(
+        spec, pairs, seed, (-2.0, 2.0), lambda op, gamma, q1, q2:
+        np.abs(op(q1) - op(q2)).max() - gamma * np.abs(q1 - q2).max())
     return PropertyResult(
         "operator_contraction", violations == 0,
-        f"{pairs} pairs x {len(ops)} operators, worst excess {worst:.2e}")
+        f"{pairs} pairs x {n_ops} operators, worst excess {worst:.2e}")
 
 
 def monotonicity_check(spec: GameSpec, pairs: int = 200, seed: int = 0) -> PropertyResult:
     """q >= q' pointwise implies T(q) >= T(q') pointwise for every backup."""
-    rng = np.random.default_rng(seed)
-    worst = -np.inf
-    violations = 0
-    ops = ()
-    for _ in range(pairs):
-        q_hi = rng.uniform(-2.0, 2.0, spec.shape)
-        q_lo = q_hi - rng.uniform(0.0, 1.0, spec.shape)
-        ops = _operators(spec, rng)
-        for op, _gamma in ops:
-            drop = (op(q_lo) - op(q_hi)).max()
-            worst = max(worst, drop)
-            if drop > _FLOAT_SLACK:
-                violations += 1
+    worst, violations, n_ops = _operator_check(
+        spec, pairs, seed, (0.0, 1.0),
+        lambda op, _gamma, q, d: (op(q - d) - op(q)).max())
     return PropertyResult(
         "operator_monotonicity", violations == 0,
-        f"{pairs} ordered pairs x {len(ops)} operators, worst drop {worst:.2e}")
+        f"{pairs} ordered pairs x {n_ops} operators, worst drop {worst:.2e}")
 
 
 def set_inclusion_check(spec: GameSpec, optimal: safety.InvariantSet,

@@ -350,6 +350,9 @@ def test_gamma_overrides(tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ["solve", "--grid", "4x4", "--hazard", "9,9"],
+    ["solve", "--grid", "4x4", "--hazard", "1,x"],
+    ["solve", "--grid", "4x4", "--hazard", "1,2,3"],
+    ["solve", "--grid", "4x4", "--goal", "a,b"],
     ["solve", "--grid", "1x1"],
     ["solve", "--random", "--states", "0"],
     ["solve", "--random", "--hazard-frac", "1.0"],
@@ -367,6 +370,32 @@ def test_bad_flag_values_exit_1_without_traceback(tmp_path, capsys, argv):
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("field,value", [
+    ("n_states", "abc"),
+    ("n_states", 2.5),
+    ("n_u", True),
+    ("reward", "abc"),
+    ("reward", [[["1.0", "1.0"], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]),
+    ("transition", [[[0, 1], [1]], [[1, 1], [1, 1]]]),
+    ("gamma", None),
+    ("h", [1.0, None]),
+    ("labels", 5),
+], ids=lambda v: str(v)[:16])
+def test_malformed_spec_field_exits_1_naming_it(tmp_path, capsys, field,
+                                                value):
+    path = tmp_path / "g.json"
+    _write_g3(path)
+    data = json.loads(path.read_text())
+    data[field] = value
+    path.write_text(json.dumps(data))
+    with pytest.raises(SchemaError, match=f"^{field} must be "):
+        load_game(path)
+    assert cli.main(["solve", "--game", str(path),
+                     "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} must be ") and "Traceback" not in err
 
 
 def test_lp_numerical_failure_exits_1_without_traceback(tmp_path, capsys):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from safegames import (ADVERSARY, PROTAGONIST, DetPolicy, GameSpec,
-                       MixedPolicy, rollout, validate)
+                       MixedPolicy, validate)
 from conftest import make_random_spec
+from rollout import rollout
 
 
 def test_smallest_legal_spec_passes(g1):

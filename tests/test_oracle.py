@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from safegames import (ADVERSARY, PROTAGONIST, BudgetExceeded, DetPolicy,
-                       rollout)
+                       NonMemberSuccessor)
 from safegames import oracle, perf, safety
 from safegames.safety import InvariantSet
 from conftest import make_random_spec
+from rollout import rollout
 
 
 def test_trajectory_value_anchors(g1, g2):
@@ -32,6 +33,39 @@ def test_trajectory_value_matches_rollout_minimum():
             expected = spec.constraint[traj.states].min()
             got = oracle.trajectory_min_constraint(spec, x0, u0, a0, pi, mu)
             assert got == expected
+
+
+def test_trajectory_value_follows_the_policy_after_revisiting_the_start(g2):
+    # The first step loops back to x0; the protagonist's own action there
+    # then leaves for the absorbing unsafe state.
+    pi = DetPolicy.constant(2, 1, PROTAGONIST)
+    mu = DetPolicy.constant(2, 0, ADVERSARY)
+    assert oracle.trajectory_min_constraint(g2, 0, 0, 0, pi, mu) == -1.0
+    assert rollout(g2, 0, 0, 0, pi, mu).states.tolist() == [0, 0, 1, 1]
+
+
+def _simulated_min(spec, x0, u0, a0, pi, mu):
+    """Minimum of h over the first 2 * n_states + 1 states of the
+    trajectory, which reach around the closed loop's cycle."""
+    worst, x, u, a = spec.constraint[x0], x0, u0, a0
+    for _ in range(2 * spec.n_states):
+        x = spec.transition[x, u, a]
+        worst = min(worst, spec.constraint[x])
+        u, a = pi.action[x], mu.action[x]
+    return worst
+
+
+def test_trajectory_value_matches_simulation_from_every_cell():
+    for seed in range(10):
+        spec = make_random_spec(seed)
+        rng = np.random.default_rng(seed + 100)
+        pi = DetPolicy(rng.integers(0, spec.n_u, spec.n_states), PROTAGONIST)
+        mu = DetPolicy(rng.integers(0, spec.n_a, spec.n_states), ADVERSARY)
+        for x0, u0, a0 in np.ndindex(spec.shape):
+            got = oracle.trajectory_min_constraint(spec, x0, u0, a0, pi, mu)
+            assert got == _simulated_min(spec, x0, u0, a0, pi, mu)
+            traj = rollout(spec, x0, u0, a0, pi, mu)
+            assert got == spec.constraint[traj.states].min()
 
 
 def test_enum_anchors(g1, g2, g3):
@@ -130,6 +164,31 @@ def test_induced_game_agrees_with_constrained_fixed_point():
     cells = np.broadcast_to(inv.member[:, None, None]
                             & inv.admissible[:, :, None], spec.shape)
     assert np.abs((engine - independent)[cells]).max() <= 1e-7
+
+
+def test_induced_game_names_the_first_exit_of_a_stale_set(g2_rewarded):
+    bad = InvariantSet(member=np.array([True, False]),
+                       admissible=np.array([[True, True], [False, False]]))
+    with pytest.raises(NonMemberSuccessor) as err:
+        oracle.solve_induced_game(g2_rewarded, bad)
+    assert str(err.value) == ("admissible action 1 at member state 0 "
+                              "reaches non-member state 1")
+
+
+def test_induced_game_and_engine_name_the_same_exit():
+    spec = make_random_spec(2)
+    inv = safety.extract_invariant_set(
+        safety.solve(spec, safety.optimal_backup).q)
+    leaky = ~inv.member[spec.transition].all(axis=2) & inv.member[:, None]
+    stale = InvariantSet(inv.member, inv.admissible | leaky)
+    x, u, a, succ = oracle.find_invariance_violations(spec, stale)[0][0]
+    with pytest.raises(NonMemberSuccessor) as oracle_err:
+        oracle.solve_induced_game(spec, stale)
+    with pytest.raises(NonMemberSuccessor) as engine_err:
+        perf.constrained_backup(np.zeros(spec.shape), spec, stale)
+    assert str(oracle_err.value) == str(engine_err.value) == (
+        f"admissible action {u} at member state {x} reaches "
+        f"non-member state {succ}")
 
 
 def test_invariance_search_clean_on_converged_sets():

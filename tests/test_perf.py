@@ -162,7 +162,7 @@ def _first_exit_message(spec, inv):
     """Reference scan: the first admissible cell, in (x, u, a) order, whose
     successor is not a member."""
     for x in np.flatnonzero(inv.member):
-        for u in inv.admissible_actions(x):
+        for u in np.flatnonzero(inv.admissible[x]):
             for a in range(spec.n_a):
                 succ = spec.transition[x, u, a]
                 if not inv.member[succ]:

@@ -1,9 +1,11 @@
-"""Property tests of the exact safety solve and of the batched matrix-game
-LP on small generated inputs.
+"""Property tests of the exact safety solve, of the oracles' verdicts on
+its sets and of the batched matrix-game LP on small generated inputs.
 
 Constraint values come from a small set of levels, so on games of at most
 five states a state outside the viability kernel reaches a negative level
-within five steps and its value at gamma_h = 0.999 is clearly negative.
+within five steps and its value at gamma_h = 0.99 or 0.999 is clearly
+negative.  So is then every action that can reach such a state, which is
+why the max-min set is forward invariant on these games.
 """
 
 import dataclasses
@@ -12,24 +14,36 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from safegames import GameSpec, matrix_game, oracle, safety
+from safegames import GameSpec, matrix_game, oracle, perf, safety
 from lp_oracle import solve_support_enumeration
 
 LEVELS = (-1.0, 0.0, 0.5, 1.0, 2.0)
 
 
 @st.composite
-def games(draw):
+def games(draw, max_actions=3, rewarded=False):
+    """Games of at most five states and ``max_actions`` actions per player;
+    rewards lie in [-1, 1] when ``rewarded`` and are zero otherwise."""
     n = draw(st.integers(1, 5))
-    n_u = draw(st.integers(1, 3))
-    n_a = draw(st.integers(1, 3))
+    n_u = draw(st.integers(1, max_actions))
+    n_a = draw(st.integers(1, max_actions))
     cells = n * n_u * n_a
     transition = draw(st.lists(st.integers(0, n - 1),
                                min_size=cells, max_size=cells))
     h = draw(st.lists(st.sampled_from(LEVELS), min_size=n, max_size=n))
+    reward = np.zeros(cells)
+    if rewarded:
+        reward = draw(st.lists(st.floats(-1.0, 1.0, allow_subnormal=False),
+                               min_size=cells, max_size=cells))
     return GameSpec(n, n_u, n_a,
                     transition=np.reshape(transition, (n, n_u, n_a)),
-                    reward=np.zeros((n, n_u, n_a)), constraint=np.array(h))
+                    reward=np.reshape(reward, (n, n_u, n_a)),
+                    constraint=np.array(h))
+
+
+def _max_min_set(spec, **kwargs):
+    return safety.extract_invariant_set(
+        safety.solve(spec, safety.optimal_backup).q, **kwargs)
 
 
 def _value_iteration(spec, tol=1e-10):
@@ -74,6 +88,38 @@ def test_membership_matches_the_viability_kernel(spec):
     inv = safety.extract_invariant_set(res.q, value_error=res.error_bound)
     kernel = oracle.viability_kernel(spec)
     assert ((inv.member == kernel) | inv.ambiguous).all()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(games())
+def test_max_min_set_is_forward_invariant(spec):
+    for gamma_h in (0.99, 0.999):
+        strict = dataclasses.replace(spec, gamma_h=gamma_h)
+        violations, explored = oracle.find_invariance_violations(
+            strict, _max_min_set(strict))
+        assert violations == []
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(games(max_actions=2))
+def test_sign_certification_matches_enumeration(spec):
+    strict = dataclasses.replace(spec, gamma_h=0.999)
+    res = safety.solve(strict, safety.optimal_backup)
+    inv = safety.extract_invariant_set(res.q, value_error=res.error_bound)
+    enum = oracle.enumerate_optimal_safety(spec)
+    truth = enum.min(axis=2).max(axis=1) >= 0.0
+    assert ((inv.member == truth) | inv.ambiguous).all()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(games(rewarded=True))
+def test_constrained_fixed_point_matches_the_induced_game(spec):
+    inv = _max_min_set(spec)
+    cells = np.broadcast_to(inv.member[:, None, None]
+                            & inv.admissible[:, :, None], spec.shape)
+    engine = perf.solve(spec, perf.constrained_backup, inv, tol=1e-10).q
+    independent = oracle.solve_induced_game(spec, inv, tol=1e-10)
+    assert np.abs(engine - independent)[cells].max(initial=0.0) <= 1e-7
 
 
 @st.composite

@@ -140,13 +140,13 @@ def test_extract_invariant_set_anchors(g1, g2, g3):
     inv1 = safety.extract_invariant_set(
         safety.solve(g1, safety.optimal_backup).q)
     assert inv1.member.tolist() == [True]
-    assert inv1.admissible_actions(0).tolist() == [0]
+    assert np.flatnonzero(inv1.admissible[0]).tolist() == [0]
 
     inv2 = safety.extract_invariant_set(
         safety.solve(g2, safety.optimal_backup).q)
     assert inv2.member.tolist() == [True, False]
-    assert inv2.admissible_actions(0).tolist() == [0]
-    assert inv2.admissible_actions(1).tolist() == []
+    assert np.flatnonzero(inv2.admissible[0]).tolist() == [0]
+    assert np.flatnonzero(inv2.admissible[1]).tolist() == []
 
     inv3 = safety.extract_invariant_set(
         safety.solve(g3, safety.optimal_backup).q)
