@@ -11,8 +11,8 @@ boundary-ambiguous, 0 = non-member.
 Exit codes: 0 success, 1 I/O, schema or flag-value error, or a numerical
 failure of a matrix-game LP (printed as ``error: numerical failure: ...``),
 2 infeasible game (the returned safety table has no member state), 3 a
-safety solve's improvement budget or a task solve's sweep budget ran out,
-4 verification property failed.
+safety solve's improvement budget or a task evaluation's sweep budget ran
+out, 4 verification property failed.
 Diagnostics go to stderr; data goes to files or stdout.
 """
 
@@ -143,12 +143,12 @@ def write_trace_csv(path, trace: dpi.DpiTrace, n_states: int) -> None:
     lp_cols = ",".join(f"lp_value_{x}" for x in range(n_states))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("step,safety_delta,member_count,feasible,"
-                 f"task_residual,task_delta,{lp_cols}\n")
+                 f"task_residual,task_delta,newton,{lp_cols}\n")
         for k, step in enumerate(trace.steps):
             lp = ",".join(f"{v:.12g}" for v in step.lp_values)
             fh.write(f"{k},{step.safety_delta:.12g},{step.member_count},"
                      f"{int(step.member_count > 0)},{step.task_residual:.12g},"
-                     f"{step.task_delta:.12g},{lp}\n")
+                     f"{step.task_delta:.12g},{step.newton:.12g},{lp}\n")
 
 
 def write_pgm(path, inv: safety.InvariantSet, grid_shape=None) -> None:
@@ -290,7 +290,8 @@ def cmd_solve(args) -> int:
         print(f"warning: outer loop ran all {cfg.m} steps without converging",
               file=sys.stderr)
     print(f"solved: {result.invariant_set.member_count()}/{spec.n_states} "
-          f"member states, {len(result.trace.steps)} outer steps",
+          f"member states, {len(result.trace.steps)} outer steps, "
+          f"constrained residual {result.trace.final_constrained_residual:.3g}",
           file=sys.stderr)
     return 0
 
@@ -350,10 +351,11 @@ def build_parser(config=None) -> argparse.ArgumentParser:
     p_solve.add_argument("--n", type=int, default=2,
                          help="safety rounds per outer iteration")
     p_solve.add_argument("--tol", type=float, default=1e-10,
-                         help="task solve tolerance (safety solves are exact)")
+                         help="exit bound on the task table's residual "
+                              "(safety solves are exact)")
     p_solve.add_argument("--max-iter", type=int, default=safety.DEFAULT_MAX_ITER,
                          help="improvement budget per safety solve and "
-                              "sweep budget per task solve")
+                              "sweep budget per task evaluation")
     p_solve.set_defaults(func=cmd_solve)
 
     p_verify = sub.add_parser("verify", help="run oracle cross-checks")

@@ -5,29 +5,47 @@ the exact evaluation of the all-zeros policy, and each of the ``n`` safety
 rounds per outer step improves the policy (switching only on strict
 improvement) and evaluates it exactly with ``safety.solve``; a round that
 switches nothing ends the step's safety rounds, and no safety solve is
-warm-started.  Each outer step then evaluates the task policy and
-improves it: member states get the matrix-game strategy over their
-admissible actions (``perf.member_games``), non-member states copy the
-safety policy as a point mass.  Safety values grow monotonically toward the
-max-min fixed point, so the invariant set only ever expands.  Feasibility is
-decided once, on the returned safety table: a game whose returned invariant
-set is empty raises InfeasibleGame.
+warm-started.  Safety values grow monotonically toward the max-min fixed
+point, so the invariant set only ever expands.  Feasibility is decided
+once, on the returned safety table: a game whose returned invariant set is
+empty raises InfeasibleGame.
 
-Task policy evaluation here uses the simultaneous-play backup
-(``perf.minimax_policy_backup``): the matrix-game improvement step and the
-constrained backup are only mutually consistent when the adversary responds
-to the policy mixture rather than to the realized action, and the terminal
-table must satisfy the constrained fixed-point equation.
+The task side solves the restricted game: member states play their
+admissible actions, every other state plays its safety action.  Its table
+is always q = r + gamma * w[x'] for a state vector w.  Each outer step
+solves every state's matrix game on q in one ``matrix_game.solve_all``
+batch for both players; the row strategies are the task policy (a point
+mass on the safety action off the member set), and the values give the
+table's residual ||r + gamma * value[x'] - q|| under the restricted
+backup.  The step after it is a Newton step of Pollatschek and Avi-Itzhak
+(1969): the pair of row and column strategies is evaluated by sweeps
+(``perf.evaluate_pair``) from the current w, to a sweep change of
+max(tol, 1e-3 * residual), or of tol on the first step, where w starts at
+zero and on a game without choices that one evaluation is the answer.  A
+safeguard in the spirit of Filar and Tolwinski (1991) keeps the iteration
+convergent: within one restricted game, and after the first step from
+w = 0, a step is accepted only when its residual is at most gamma times the
+last one, halving its length along the Newton direction down to 1 - gamma
+and otherwise taking one restricted backup w <- value, which contracts the
+residual by gamma.  The loop exits
+once a step's safety rounds switch nothing and the residual is at most
+``tol``, so ``tol`` bounds the returned table's residual.
+
+The matrix games model simultaneous play: the adversary responds to the
+policy mixture rather than to the realized action.  On member states the
+restricted game's fixed point is the constrained fixed point of
+``perf.constrained_backup``, whose residual on the returned table the trace
+reports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
-from . import perf, safety
+from . import matrix_game, perf, safety
 from .errors import InfeasibleGame, NonMemberSuccessor
 from .game import PROTAGONIST, DetPolicy, GameSpec, MixedPolicy
 
@@ -36,7 +54,8 @@ from .game import PROTAGONIST, DetPolicy, GameSpec, MixedPolicy
 class DpiConfig:
     m: int = 30           # outer iterations (budget; early exit on convergence)
     n: int = 2            # safety rounds per outer iteration
-    tol: float = 1e-10    # task solve tolerance; safety solves are exact
+    tol: float = 1e-10    # exit bound on the task table's residual; safety
+                          # solves are exact
 
 
 @dataclass
@@ -46,9 +65,10 @@ class DpiStep:
     safety_delta: float        # sup-norm change of the safety table
     safety_decrease: float     # largest pointwise decrease of the safety table
     member_count: int
-    task_residual: float       # fixed-point residual of the task evaluation
+    task_residual: float       # task table's residual under the restricted backup
     task_delta: float          # sup-norm change of the task table
     lp_values: np.ndarray      # per-state matrix-game value, NaN off-members
+    newton: float = 0.0        # accepted Newton step length, 0 for a backup
 
 
 @dataclass
@@ -73,9 +93,9 @@ class DpiResult:
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    converged: bool            # last safety and task deltas at or below tol
+    converged: bool            # last safety delta and task residual <= tol
     last_safety_delta: float
-    last_task_delta: float
+    last_task_residual: float
     monotone_values: bool      # safety tables pointwise non-decreasing
     monotone_members: bool     # member counts non-decreasing
     constrained_residual: float
@@ -90,16 +110,52 @@ class ConvergenceReport:
         return self.converged and self.monotone and self.constrained_ok
 
 
+def _restricted_games(spec: GameSpec, w: np.ndarray, rows: np.ndarray):
+    """The task table r + gamma * w[x'], one LP batch of the restricted
+    game's matrix games on it, and the table's residual under the restricted
+    backup q <- r + gamma * value[x'].
+
+    Returns (q, row strategies, column strategies, values, residual).
+    """
+    q = spec.reward + spec.gamma * w[spec.transition]
+    s, values, t = matrix_game.solve_all(q, rows, return_columns=True)
+    change = spec.reward + spec.gamma * values[spec.transition]
+    change -= q
+    return q, s, t, values, float(np.abs(change, out=change).max())
+
+
+def _safeguarded_step(spec: GameSpec, rows: np.ndarray, w: np.ndarray,
+                      target: np.ndarray, base):
+    """Step from ``w`` toward the Newton point ``target``.
+
+    ``base`` is the (values, residual) of the table at ``w``, or None when
+    the full step is taken unchecked.
+    A step is accepted when its residual is at most gamma times the base's.
+    Its length halves from 1 while it is at least 1 - gamma; a shorter step
+    promises less than the restricted backup from the base, which always
+    qualifies.  Returns the new state vector, the accepted step length (0
+    for the backup) and its ``_restricted_games`` result.
+    """
+    length = 1.0
+    while length >= 1.0 - spec.gamma:
+        trial = w + length * (target - w)
+        games = _restricted_games(spec, trial, rows)
+        if base is None or games[-1] <= spec.gamma * base[1]:
+            return trial, length, games
+        length /= 2
+    return base[0], 0.0, _restricted_games(spec, base[0], rows)
+
+
 def run(spec: GameSpec, cfg: DpiConfig = DpiConfig(),
         max_iter: int = safety.DEFAULT_MAX_ITER) -> DpiResult:
     """Run the dual iteration and return the final artifacts plus the trace.
 
-    The loop exits once both policies repeat from one step to the next and
-    the task table has settled; the safety table then belongs to the stable
-    safety policy.  Raises InfeasibleGame when the returned invariant set
-    has no member state (no state reaches a nonnegative worst-case safety
-    value), and propagates MaxIterExceeded from the safety solves'
-    improvement budget and the task solves' sweep budget (both ``max_iter``).
+    The loop exits once a step's safety rounds switch nothing and the task
+    table's residual under the restricted backup is at most ``cfg.tol``.
+    Raises InfeasibleGame when the returned invariant set has no member
+    state (no state reaches a nonnegative worst-case safety value), and
+    propagates MaxIterExceeded from the safety solves' improvement budget
+    and the pair evaluations' sweep budget (both ``max_iter``).
     """
     if cfg.m < 1 or cfg.n < 1:
         raise ValueError("m and n must be at least 1")
@@ -108,58 +164,52 @@ def run(spec: GameSpec, cfg: DpiConfig = DpiConfig(),
 
     pi_h = DetPolicy.constant(spec.n_states, 0, PROTAGONIST)
     res_h = safety.solve(spec, safety.policy_backup, pi_h, max_iter=max_iter)
-    pi = MixedPolicy.uniform(spec.n_states, spec.n_u)
-    q = np.zeros(spec.shape)
+    w = np.zeros(spec.n_states)
     trace = DpiTrace()
-    prev_snapshot: Optional[np.ndarray] = None
-    prev_task: Optional[np.ndarray] = None
-    prev_policies: Optional[tuple] = None
-    # A task solve stopping at residual <= tol is still up to
-    # gamma*tol/(1-gamma) from its fixed point, and warm starts carry that
-    # drift into the next step's delta, so the exit threshold sits at that
-    # scale.
-    task_exit = max(cfg.tol, spec.gamma * cfg.tol / (1.0 - spec.gamma))
+    prev_q_h = prev_q = None
 
-    for _ in range(cfg.m):
+    for k in range(cfg.m):
+        switched = False
         for _ in range(cfg.n):
             improved = safety.improve_policy(res_h.q, pi_h)
             if np.array_equal(improved.action, pi_h.action):
                 break
-            pi_h = improved
+            pi_h, switched = improved, True
             res_h = safety.solve(spec, safety.policy_backup, pi_h,
                                  max_iter=max_iter)
         q_h = res_h.q
-
         inv = safety.extract_invariant_set(q_h, value_error=res_h.error_bound)
-        res_q = perf.solve(spec, perf.minimax_policy_backup, pi, tol=cfg.tol,
-                           max_iter=max_iter, q0=q)
-        q = res_q.q
-        prob, lp_values = perf.member_games(q, inv)
-        off = ~inv.member
-        prob[off, pi_h.action[off]] = 1.0
-        pi = MixedPolicy(prob)
+        if k == 0 or switched:
+            rows = inv.admissible.copy()
+            off = ~inv.member
+            rows[off, pi_h.action[off]] = True
+            base = None
 
-        if prev_snapshot is None:
-            safety_delta, safety_decrease = np.inf, 0.0
+        if k == 0:
+            newton, games = 0.0, _restricted_games(spec, w, rows)
         else:
-            change = q_h - prev_snapshot
+            stop = cfg.tol if k == 1 else max(cfg.tol, 1e-3 * residual)
+            target = perf.evaluate_pair(spec, s, t, w, stop, max_iter)
+            w, newton, games = _safeguarded_step(spec, rows, w, target, base)
+        q, s, t, values, residual = games
+        # The zero start is no table to protect: the first Newton step from
+        # it is taken in full, like the first one in a new restricted game.
+        base = (values, residual) if k else None
+
+        if prev_q_h is None:
+            safety_delta, safety_decrease, task_delta = np.inf, 0.0, np.inf
+        else:
+            change = q_h - prev_q_h
             safety_delta = float(np.abs(change).max())
             safety_decrease = max(0.0, -float(change.min()))
-        task_delta = (np.inf if prev_task is None
-                      else float(np.abs(q - prev_task).max()))
-        # Solves return fresh arrays, so holding references is enough.
-        prev_snapshot, prev_task = q_h, q
+            task_delta = float(np.abs(q - prev_q).max())
+        prev_q_h, prev_q = q_h, q
         trace.steps.append(DpiStep(
             safety_delta=safety_delta, safety_decrease=safety_decrease,
-            member_count=inv.member_count(),
-            task_residual=res_q.residual, task_delta=task_delta,
-            lp_values=lp_values))
-
-        policies_stable = (prev_policies is not None
-                           and np.array_equal(pi_h.action, prev_policies[0])
-                           and np.array_equal(pi.prob, prev_policies[1]))
-        prev_policies = (pi_h.action.copy(), pi.prob.copy())
-        if policies_stable and task_delta <= task_exit:
+            member_count=inv.member_count(), task_residual=residual,
+            task_delta=task_delta,
+            lp_values=np.where(inv.member, values, np.nan), newton=newton))
+        if not switched and residual <= cfg.tol:
             break
     else:
         trace.budget_exhausted = True
@@ -168,10 +218,6 @@ def run(spec: GameSpec, cfg: DpiConfig = DpiConfig(),
         raise InfeasibleGame(
             "no state admits persistent safety: "
             "the returned safety table has no member state")
-    # The loop's last task evaluation predates its last improvement.
-    q = perf.solve(spec, perf.minimax_policy_backup, pi, tol=cfg.tol,
-                   max_iter=max_iter, q0=q).q
-
     try:
         # The backup leaves every cell off the induced game untouched.
         trace.final_constrained_residual = float(
@@ -182,7 +228,7 @@ def run(spec: GameSpec, cfg: DpiConfig = DpiConfig(),
         # uncertified residual instead of failing.
         trace.final_constrained_residual = np.inf
 
-    return DpiResult(pi=pi, pi_h=pi_h, q=q, q_h=q_h, trace=trace,
+    return DpiResult(pi=MixedPolicy(s), pi_h=pi_h, q=q, q_h=q_h, trace=trace,
                      invariant_set=inv)
 
 
@@ -198,9 +244,9 @@ def check_convergence(trace: DpiTrace, tol: float) -> ConvergenceReport:
                            for prev, cur in zip(trace.steps, trace.steps[1:]))
     residual = trace.final_constrained_residual
     return ConvergenceReport(
-        converged=bool(last.safety_delta <= tol and last.task_delta <= tol),
+        converged=bool(last.safety_delta <= tol and last.task_residual <= tol),
         last_safety_delta=last.safety_delta,
-        last_task_delta=last.task_delta,
+        last_task_residual=last.task_residual,
         monotone_values=monotone_values,
         monotone_members=monotone_members,
         constrained_residual=residual,

@@ -9,7 +9,8 @@ supported on the admissible rows:
 After shifting the payoff positive the problem reduces to the classic pair of
 LPs  min 1'y : P'y >= 1  and  max 1'z : P z <= 1, solved with a primal
 simplex tableau under Bland's anticycling rule.  The column player's optimal
-mixture comes out of the same tableau and certifies optimality.
+mixture comes out of the same tableau, certifies optimality and is returned
+on request.
 
 ``solve_all`` solves a batch of games at once: games with one admissible row
 or one column are direct scans, and the rest are grouped by admissible-row
@@ -122,8 +123,10 @@ def _simplex_max(A: np.ndarray, games: np.ndarray):
         basis[active, leave] = enter
 
 
-def _solve_lp(sub: np.ndarray, games: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Row strategies (c, k) and values (c,) of stacked k-row games."""
+def _solve_lp(sub: np.ndarray,
+              games: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row strategies (c, k), values (c,) and column strategies (c, n) of
+    stacked k-row, n-column games."""
     c, k, n = sub.shape
     low = sub.min(axis=(1, 2))
     # Entries >= 1 keep the value positive.  max 1'z : shifted z <= 1 is the
@@ -158,20 +161,23 @@ def _solve_lp(sub: np.ndarray, games: np.ndarray) -> Tuple[np.ndarray, np.ndarra
         j = np.argmax(bad)
         raise NumericalFailure(f"game {games[j]}: certificate gap {gap[j]:.3e} "
                                f"exceeds {cert_tol[j]:.3e}")
-    return s, value
+    return s, value, t
 
 
-def solve_all(payoff: np.ndarray,
-              admissible: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Solve a batch of restricted matrix games for the row player.
+def solve_all(payoff: np.ndarray, admissible: np.ndarray,
+              return_columns: bool = False) -> Tuple[np.ndarray, ...]:
+    """Solve a batch of restricted matrix games for both players.
 
     ``payoff`` is (B, n_u, n_a) and ``admissible`` a (B, n_u) boolean row
-    mask.  Returns the optimal strategies (B, n_u), with zero mass on
-    inadmissible rows, and the values (B,); a game without admissible rows
-    gets a zero strategy and a NaN value.  Single-row and single-column games
-    are direct scans; the others run the simplex on their admissible rows,
-    taken in index order, grouped by row count in chunks of at most 256
-    games.  Raises NumericalFailure, naming the game's index in the batch,
+    mask.  Returns the optimal row strategies (B, n_u), with zero mass on
+    inadmissible rows, and the values (B,); with ``return_columns`` also the
+    column player's optimal strategies (B, n_a) as a third array.  A game
+    without admissible rows gets zero strategies and a NaN value.
+    Single-row and single-column games are direct scans (a single row meets
+    its lowest-index minimizing column); the others run the simplex on their
+    admissible rows, taken in index order, grouped by row count in chunks of
+    at most 256 games, and the column strategy is the dual of the same
+    tableau.  Raises NumericalFailure, naming the game's index in the batch,
     when a game's primal/dual certificates disagree by more than 1e-6 times
     max(1, payoff range of its admissible submatrix), so the test scales
     with the payoffs.
@@ -185,6 +191,7 @@ def solve_all(payoff: np.ndarray,
         raise ValueError("payoff must be finite")
     counts = admissible.sum(axis=1)
     strategy = np.zeros((n_games, n_rows))
+    column = np.zeros((n_games, n_cols))
     value = np.full(n_games, np.nan)
 
     # One admissible row meets its minimizing column; with one column the
@@ -193,6 +200,7 @@ def solve_all(payoff: np.ndarray,
     low = payoff[scan].min(axis=2)
     best = np.where(admissible[scan], low, -np.inf).argmax(axis=1)
     strategy[scan, best] = 1.0
+    column[scan, payoff[scan, best].argmin(axis=1)] = 1.0
     value[scan] = low[np.arange(scan.size), best]
 
     for k in np.unique(counts[counts > 1]) if n_cols > 1 else ():
@@ -201,7 +209,10 @@ def solve_all(payoff: np.ndarray,
         for part in range(0, games.size, _CHUNK):
             g = games[part:part + _CHUNK]
             r = rows[part:part + _CHUNK]
-            strategy[g[:, None], r], value[g] = _solve_lp(payoff[g[:, None], r], g)
+            strategy[g[:, None], r], value[g], column[g] = _solve_lp(
+                payoff[g[:, None], r], g)
+    if return_columns:
+        return strategy, value, column
     return strategy, value
 
 

@@ -10,7 +10,9 @@ worst-case evaluations of a mixed protagonist exist and differ:
 
 The constrained backup restricts member states to their admissible actions
 and backs up the matrix-game value of the successor state, which is the
-fixed point the dual iteration converges to.
+fixed point the dual iteration converges to.  ``evaluate_pair`` gives the
+state values of a fixed pair of mixed strategies, the dual iteration's
+Newton step.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from . import matrix_game
-from .errors import NonMemberSuccessor
+from .errors import MaxIterExceeded, NonMemberSuccessor
 from .game import GameSpec, MixedPolicy
 from .safety import DEFAULT_MAX_ITER, DEFAULT_TOL, FixedPointResult, InvariantSet, fixed_point
 
@@ -73,6 +75,37 @@ def constrained_backup(q: np.ndarray, spec: GameSpec, inv: InvariantSet) -> np.n
             f"admissible action {u} at member state {x} reaches "
             f"non-member state {spec.transition[x, u, a]}")
     return np.where(cells, spec.reward + spec.gamma * values[spec.transition], q)
+
+
+def evaluate_pair(spec: GameSpec, row: np.ndarray, column: np.ndarray,
+                  v0: np.ndarray, tol: float = DEFAULT_TOL,
+                  max_iter: int = DEFAULT_MAX_ITER) -> np.ndarray:
+    """State values of a fixed pair of mixed strategies, row (n_states, n_u)
+    against column (n_states, n_a), by sweeps from ``v0``.
+
+    Each sweep is v(x) <- sum over u, a of row(x, u) * column(x, a) *
+    (reward + gamma * v(x')), taken over the pair's support only.  Sweeps
+    stop once one moves v by at most ``tol``, or by no less than the sweep
+    before it: a contraction shrinks every move until rounding stalls it.
+    Raises MaxIterExceeded after ``max_iter`` sweeps without stopping.
+    """
+    weight = row[:, :, None] * column[:, None, :]
+    x, u, a = np.nonzero(weight)
+    weight = weight[x, u, a]
+    successor = spec.transition[x, u, a]
+    n = spec.n_states
+    gain = np.bincount(x, weight * spec.reward[x, u, a], minlength=n)
+    v, move = v0, np.inf
+    for _ in range(max_iter):
+        nxt = gain + spec.gamma * np.bincount(x, weight * v[successor],
+                                              minlength=n)
+        last, move = move, float(np.abs(nxt - v).max())
+        v = nxt
+        if move <= tol or move >= last:
+            return v
+    raise MaxIterExceeded(
+        f"pair evaluation moved {move:.3e} > tol {tol:.3e} after "
+        f"{max_iter} sweeps", residual=move, iterations=max_iter)
 
 
 def solve(spec: GameSpec, backup: Callable[..., np.ndarray], *args,

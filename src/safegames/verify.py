@@ -16,6 +16,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import oracle, perf, safety
+from .errors import NonMemberSuccessor
 from .game import ADVERSARY, PROTAGONIST, DetPolicy, GameSpec, MixedPolicy
 
 _FLOAT_SLACK = 1e-12
@@ -135,10 +136,14 @@ def forward_invariance_check(spec: GameSpec,
 def induced_agreement_check(spec: GameSpec, inv: safety.InvariantSet,
                             tol: float = 1e-10,
                             atol: float = 1e-7) -> PropertyResult:
-    """Constrained fixed point must match the standalone induced-game solve."""
+    """Constrained fixed point must match the standalone induced-game solve;
+    a member set that an admissible action leaves fails, naming the exit."""
     if not inv.member.any():
         return PropertyResult("induced_agreement", True, "no member states")
-    engine = perf.solve(spec, perf.constrained_backup, inv, tol=tol).q
+    try:
+        engine = perf.solve(spec, perf.constrained_backup, inv, tol=tol).q
+    except NonMemberSuccessor as exc:
+        return PropertyResult("induced_agreement", False, str(exc))
     independent = oracle.solve_induced_game(spec, inv, tol)
     cells = inv.member[:, None, None] & inv.admissible[:, :, None]
     gap = float(np.abs((engine - independent)[

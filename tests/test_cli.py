@@ -337,6 +337,49 @@ def test_solve_warns_when_outer_budget_runs_out(tmp_path, capsys):
     assert "warning" not in capsys.readouterr().err
 
 
+def test_solve_random_300_converges_and_reports_its_residual(tmp_path,
+                                                           capsys):
+    out = tmp_path / "o"
+    assert cli.main(["solve", "--random", "--states", "300", "--nu", "6",
+                     "--na", "3", "--hazard-frac", "0.1", "--seed", "0",
+                     "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert "warning" not in err
+    residual = float(err.split("constrained residual ")[1])
+    assert residual <= 1e-10
+
+    header, *rows = (out / "trace.csv").read_text().splitlines()
+    names = header.split(",")
+    assert names[:7] == ["step", "safety_delta", "member_count", "feasible",
+                         "task_residual", "task_delta", "newton"]
+    assert names[7:] == [f"lp_value_{x}" for x in range(300)]
+    cells = np.array([row.split(",") for row in rows], dtype=float)
+    newton = cells[:, names.index("newton")]
+    assert newton[0] == 0.0 and (newton[1:] == 1.0).any()
+    assert ((newton >= 0.0) & (newton <= 1.0)).all()
+    assert cells[-1, names.index("task_residual")] <= 1e-10
+    # lp values stay NaN off the member set
+    member = np.array(json.loads((out / "policy.json").read_text())["member"],
+                      dtype=bool)
+    lp = cells[:, 7:]
+    assert np.isnan(lp[:, ~member]).all() and np.isfinite(lp[:, member]).all()
+
+
+def test_verify_reports_a_member_set_with_an_exit(tmp_path, capsys):
+    # At gamma_h = 0.9 the first state of this chain keeps a nonnegative
+    # value although its only action leads to state 1, which does not.
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({
+        "n_states": 5, "n_u": 1, "n_a": 1, "gamma": 0.95, "gamma_h": 0.9,
+        "transition": [[[1]], [[2]], [[3]], [[4]], [[4]]],
+        "reward": [[[0.0]]] * 5, "h": [2.0, 2.0, 2.0, 2.0, -1.0]}))
+    assert cli.main(["verify", "--game", str(path), "--pairs", "5"]) == 4
+    captured = capsys.readouterr()
+    assert ("FAIL induced_agreement: admissible action 0 at member state 0 "
+            "reaches non-member state 1") in captured.out.splitlines()
+    assert "Traceback" not in captured.err
+
+
 def test_gamma_overrides(tmp_path):
     out = tmp_path / "o"
     code = cli.main(["solve", "--random", "--seed", "2", "--states", "4",
@@ -400,8 +443,8 @@ def test_malformed_spec_field_exits_1_naming_it(tmp_path, capsys, field,
 
 def test_lp_numerical_failure_exits_1_without_traceback(tmp_path, capsys):
     # Rewards scaled by 1e12 break the simplex's absolute pivot tolerance
-    # (1e9 still solves); the failure is reported, not raised.
-    spec = random_game(RandomGameParams(seed=3, n_states=6, n_u=2, n_a=2))
+    # on this game (1e9 still solves); the failure is reported, not raised.
+    spec = random_game(RandomGameParams(seed=5, n_states=6, n_u=2, n_a=2))
     path = tmp_path / "g.json"
     save_game(dataclasses.replace(spec, reward=spec.reward * 1e12), path)
     assert cli.main(["solve", "--game", str(path),

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from safegames import DpiConfig, InfeasibleGame, MixedPolicy
+from safegames.errors import MaxIterExceeded
 from safegames import dpi, oracle, perf, safety
 from safegames.dpi import DpiStep, DpiTrace
 from safegames.safety import InvariantSet
@@ -117,6 +120,60 @@ def test_early_exit_before_budget():
     spec = make_random_spec(5)
     result = dpi.run(spec, DpiConfig(m=200, n=2))
     assert len(result.trace.steps) < 200
+
+
+def test_random_game_that_never_exited_now_converges():
+    # Seed 27 ran all 200 steps under the bit-for-bit policy exit test.
+    result = dpi.run(make_random_spec(27), DpiConfig(m=200, n=2))
+    assert len(result.trace.steps) < 10
+    assert not result.trace.budget_exhausted
+
+
+def test_300_state_game_meets_its_tolerance():
+    # The solve-random benchmark's game shape: the loop used to run out its
+    # 30 steps with a constrained residual of 2.2-7.9e-10.
+    spec = make_random_spec(0, n_states=300, n_u=6, n_a=3,
+                            hazard_fraction=0.1)
+    result = dpi.run(spec)
+    trace = result.trace
+    assert not trace.budget_exhausted
+    assert len(trace.steps) <= 12
+    assert trace.steps[-1].task_residual <= DpiConfig().tol
+    assert trace.final_constrained_residual <= DpiConfig().tol
+    # Accepted step lengths lie in (0, 1]; a backup step records 0.
+    assert trace.steps[0].newton == 0.0
+    assert all(0.0 <= s.newton <= 1.0 for s in trace.steps)
+    assert sum(s.newton == 1.0 for s in trace.steps) >= 4
+
+
+def test_residual_safeguard_recovers_from_a_cycling_newton_step():
+    # Plain Pollatschek-Avi-Itzhak steps cycle on this game: evaluated
+    # exactly, every full step after the first lands at residual 0.36.
+    spec = make_random_spec(52)
+    result = dpi.run(spec, DpiConfig(m=40, n=2, tol=1e-11))
+    steps = result.trace.steps
+    assert not result.trace.budget_exhausted
+    assert any(s.newton < 1.0 for s in steps[1:])
+    for prev, cur in zip(steps[1:], steps[2:]):
+        assert cur.task_residual <= spec.gamma * prev.task_residual
+    assert result.trace.final_constrained_residual <= 1e-11
+
+
+def test_pair_evaluation_stops_when_rounding_stalls_it():
+    # Values near 1e12 round to 2**-13, far above the tolerance, so the
+    # sweeps stop where rounding stalls them instead of running out.
+    spec = make_random_spec(3, n_states=6, n_u=2, n_a=2)
+    spec = dataclasses.replace(spec, reward=spec.reward * 1e11)
+    row = np.full((6, 2), 0.5)
+    column = np.full((6, 2), 0.5)
+    v = perf.evaluate_pair(spec, row, column, np.zeros(6), tol=1e-10,
+                           max_iter=5000)
+    again = perf.evaluate_pair(spec, row, column, v, tol=1e-10,
+                               max_iter=5000)
+    assert np.abs(again - v).max() <= 1e-14 * np.abs(v).max()
+    with pytest.raises(MaxIterExceeded):
+        perf.evaluate_pair(spec, row, column, np.zeros(6), tol=1e-10,
+                           max_iter=5)
 
 
 def test_check_convergence_flags_shuffled_trace():

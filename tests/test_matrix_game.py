@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from safegames import DpiConfig, NumericalFailure, dpi, matrix_game, perf
+from safegames import DpiConfig, NumericalFailure, dpi, matrix_game
 from safegames.envs import GridworldParams, gridworld
 from safegames.matrix_game import (RestrictedMatrixGame, restricted, solve,
                                    solve_all)
@@ -126,17 +126,18 @@ def test_certificate_tolerance_scales_with_the_payoffs():
             assert np.abs(sol.strategy - strategy).max() <= 1e-8
 
 
-def _recorded_member_games(spec, monkeypatch):
-    """The (q, inv) arguments of every ``perf.member_games`` call in one
-    ``dpi.run``."""
+def _recorded_batches(spec, monkeypatch):
+    """The (payoff, admissible) arguments of every ``matrix_game.solve_all``
+    call in one ``dpi.run``: each outer step's restricted games and the
+    member games of the final constrained residual."""
     calls = []
-    real = perf.member_games
+    real = matrix_game.solve_all
 
-    def record(q, inv):
-        calls.append((q.copy(), inv))
-        return real(q, inv)
+    def record(payoff, admissible, **kwargs):
+        calls.append((payoff.copy(), admissible.copy()))
+        return real(payoff, admissible, **kwargs)
 
-    monkeypatch.setattr(perf, "member_games", record)
+    monkeypatch.setattr(matrix_game, "solve_all", record)
     dpi.run(spec, DpiConfig())
     monkeypatch.undo()
     return calls
@@ -151,26 +152,27 @@ def _assert_matches_serial(payoff, admissible, strategy, value):
 
 @pytest.mark.parametrize("which", ["random300", "push_grid"])
 def test_member_games_match_the_serial_simplex_bit_for_bit(which, monkeypatch):
-    # Random 300-state game: 2-6 admissible rows of 3 columns, 30 steps
-    # (every fifth step is checked).  Push grid: 1-5 rows of 5 columns,
-    # mostly pure saddles, groups above one chunk.
+    # Random 300-state game: 2-6 admissible rows of 3 columns, 10 batches
+    # (every other batch is checked).  Push grid: 1-5 rows of 5 columns,
+    # mostly pure saddles, groups above one chunk.  Non-member states play
+    # one row in the restricted games and none in the final member games.
     if which == "random300":
         spec = make_random_spec(0, n_states=300, n_u=6, n_a=3,
                                 hazard_fraction=0.1)
-        step = 5
+        step = 2
     else:
         spec = gridworld(GridworldParams(width=32, height=32,
                                          hazard_cells=push_grid_hazards(),
                                          goal_cell=(31, 31)))
         step = 1
-    calls = _recorded_member_games(spec, monkeypatch)[::step]
+    calls = _recorded_batches(spec, monkeypatch)[::step]
     assert len(calls) >= 4
-    for q, inv in calls:
-        strategy, value = perf.member_games(q, inv)
-        assert np.isnan(value[~inv.member]).all()
-        assert not strategy[~inv.member].any()
-        _assert_matches_serial(q, inv.admissible & inv.member[:, None],
-                               strategy, value)
+    for payoff, admissible in calls:
+        strategy, value = solve_all(payoff, admissible)
+        empty = ~admissible.any(axis=1)
+        assert np.isnan(value[empty]).all()
+        assert not strategy[empty].any()
+        _assert_matches_serial(payoff, admissible, strategy, value)
 
 
 def _mixed_batch(n_cols, size=700, seed=0):
@@ -200,6 +202,39 @@ def test_batch_composition_does_not_change_a_game(n_cols):
         assert np.array_equal(alone_value[0], value[b], equal_nan=True)
     empty = ~admissible.any(axis=1)
     assert np.isnan(value[empty]).all() and not strategy[empty].any()
+
+
+@pytest.mark.parametrize("n_cols", [1, 3])
+def test_column_strategies_certify_the_values(n_cols):
+    payoff, admissible = _mixed_batch(n_cols)
+    strategy, value, column = solve_all(payoff, admissible,
+                                        return_columns=True)
+    alone_strategy, alone_value = solve_all(payoff, admissible)
+    assert np.array_equal(strategy, alone_strategy)
+    assert np.array_equal(value, alone_value, equal_nan=True)
+    assert not column[~admissible.any(axis=1)].any()
+    for b in np.flatnonzero(admissible.any(axis=1)):
+        sub = payoff[b][admissible[b]]
+        assert column[b].min() >= 0.0
+        assert abs(column[b].sum() - 1.0) <= 1e-12
+        # The column mixture caps every admissible row at the value.
+        gap = (sub @ column[b]).max() - value[b]
+        assert gap <= matrix_game._CERT_TOL * max(1.0, sub.max() - sub.min())
+
+
+def test_one_row_game_column_is_the_lowest_index_argmin():
+    payoff = np.array([[[2.0, 1.0, 1.0], [0.0, -5.0, 3.0]],
+                       [[4.0, 3.0, 3.0], [0.0, 0.0, 0.0]]])
+    admissible = np.array([[True, False], [True, False]])
+    strategy, value, column = solve_all(payoff, admissible,
+                                        return_columns=True)
+    assert strategy.tolist() == [[1.0, 0.0], [1.0, 0.0]]
+    assert value.tolist() == [1.0, 3.0]
+    assert column.tolist() == [[0.0, 1.0, 0.0], [0.0, 1.0, 0.0]]
+    # One column: the best row meets that column.
+    strategy, value, column = solve_all(payoff[:, :, :1], ~admissible,
+                                        return_columns=True)
+    assert value.tolist() == [0.0, 0.0] and column.tolist() == [[1.0], [1.0]]
 
 
 def test_solve_all_names_the_failing_game():

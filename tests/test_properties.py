@@ -1,5 +1,6 @@
 """Property tests of the exact safety solve, of the oracles' verdicts on
-its sets and of the batched matrix-game LP on small generated inputs.
+its sets, of the dual iteration's task table and of the batched
+matrix-game LP on small generated inputs.
 
 Constraint values come from a small set of levels, so on games of at most
 five states a state outside the viability kernel reaches a negative level
@@ -14,7 +15,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from safegames import GameSpec, matrix_game, oracle, perf, safety
+from safegames import (DpiConfig, GameSpec, InfeasibleGame, dpi, matrix_game,
+                       oracle, perf, safety)
 from lp_oracle import solve_support_enumeration
 
 LEVELS = (-1.0, 0.0, 0.5, 1.0, 2.0)
@@ -120,6 +122,25 @@ def test_constrained_fixed_point_matches_the_induced_game(spec):
     engine = perf.solve(spec, perf.constrained_backup, inv, tol=1e-10).q
     independent = oracle.solve_induced_game(spec, inv, tol=1e-10)
     assert np.abs(engine - independent)[cells].max(initial=0.0) <= 1e-7
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(games(rewarded=True))
+def test_dual_iteration_matches_the_induced_game(spec):
+    cfg = DpiConfig()
+    try:
+        result = dpi.run(spec, cfg)
+    except InfeasibleGame:
+        return
+    trace = result.trace
+    if not trace.budget_exhausted:
+        assert trace.steps[-1].task_residual <= cfg.tol
+        assert trace.final_constrained_residual <= cfg.tol
+    inv = result.invariant_set
+    cells = np.broadcast_to(inv.member[:, None, None]
+                            & inv.admissible[:, :, None], spec.shape)
+    independent = oracle.solve_induced_game(spec, inv, tol=1e-10)
+    assert np.abs(result.q - independent)[cells].max() <= 1e-7
 
 
 @st.composite
