@@ -118,7 +118,7 @@ def _restricted_games(spec: GameSpec, w: np.ndarray, rows: np.ndarray):
     Returns (q, row strategies, column strategies, values, residual).
     """
     q = spec.reward + spec.gamma * w[spec.transition]
-    s, values, t = matrix_game.solve_all(q, rows, return_columns=True)
+    s, values, t = matrix_game.solve_all(q, rows)
     change = spec.reward + spec.gamma * values[spec.transition]
     change -= q
     return q, s, t, values, float(np.abs(change, out=change).max())

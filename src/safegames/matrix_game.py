@@ -10,7 +10,7 @@ After shifting the payoff positive the problem reduces to the classic pair of
 LPs  min 1'y : P'y >= 1  and  max 1'z : P z <= 1, solved with a primal
 simplex tableau under Bland's anticycling rule.  The column player's optimal
 mixture comes out of the same tableau, certifies optimality and is returned
-on request.
+with the row strategy.
 
 ``solve_all`` solves a batch of games at once: games with one admissible row
 or one column are direct scans, and the rest are grouped by admissible-row
@@ -164,15 +164,15 @@ def _solve_lp(sub: np.ndarray,
     return s, value, t
 
 
-def solve_all(payoff: np.ndarray, admissible: np.ndarray,
-              return_columns: bool = False) -> Tuple[np.ndarray, ...]:
+def solve_all(payoff: np.ndarray, admissible: np.ndarray
+              ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Solve a batch of restricted matrix games for both players.
 
     ``payoff`` is (B, n_u, n_a) and ``admissible`` a (B, n_u) boolean row
     mask.  Returns the optimal row strategies (B, n_u), with zero mass on
-    inadmissible rows, and the values (B,); with ``return_columns`` also the
-    column player's optimal strategies (B, n_a) as a third array.  A game
-    without admissible rows gets zero strategies and a NaN value.
+    inadmissible rows, the values (B,) and the column player's optimal
+    strategies (B, n_a).  A game without admissible rows gets zero
+    strategies and a NaN value.
     Single-row and single-column games are direct scans (a single row meets
     its lowest-index minimizing column); the others run the simplex on their
     admissible rows, taken in index order, grouped by row count in chunks of
@@ -211,14 +211,12 @@ def solve_all(payoff: np.ndarray, admissible: np.ndarray,
             r = rows[part:part + _CHUNK]
             strategy[g[:, None], r], value[g], column[g] = _solve_lp(
                 payoff[g[:, None], r], g)
-    if return_columns:
-        return strategy, value, column
-    return strategy, value
+    return strategy, value, column
 
 
 def solve(game: RestrictedMatrixGame) -> MatrixGameSolution:
     """Solve one restricted matrix game: ``solve_all`` on a batch of one."""
     mask = np.zeros(game.payoff.shape[0], dtype=bool)
     mask[game.admissible_rows] = True
-    strategy, value = solve_all(game.payoff[None], mask[None])
+    strategy, value, _ = solve_all(game.payoff[None], mask[None])
     return MatrixGameSolution(strategy[0], float(value[0]))

@@ -22,7 +22,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from . import matrix_game
-from .errors import MaxIterExceeded, NonMemberSuccessor
+from .errors import NonMemberSuccessor
 from .game import GameSpec, MixedPolicy
 from .safety import DEFAULT_MAX_ITER, DEFAULT_TOL, FixedPointResult, InvariantSet, fixed_point
 
@@ -55,7 +55,7 @@ def member_games(q: np.ndarray,
     Returns the per-state optimal strategy and value: the LP solution on
     member states, zero strategy rows and NaN values elsewhere.
     """
-    return matrix_game.solve_all(q, inv.admissible & inv.member[:, None])
+    return matrix_game.solve_all(q, inv.admissible & inv.member[:, None])[:2]
 
 
 def constrained_backup(q: np.ndarray, spec: GameSpec, inv: InvariantSet) -> np.ndarray:
@@ -78,16 +78,16 @@ def constrained_backup(q: np.ndarray, spec: GameSpec, inv: InvariantSet) -> np.n
 
 
 def evaluate_pair(spec: GameSpec, row: np.ndarray, column: np.ndarray,
-                  v0: np.ndarray, tol: float = DEFAULT_TOL,
-                  max_iter: int = DEFAULT_MAX_ITER) -> np.ndarray:
+                  v0: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
     """State values of a fixed pair of mixed strategies, row (n_states, n_u)
-    against column (n_states, n_a), by sweeps from ``v0``.
+    against column (n_states, n_a), by ``fixed_point`` sweeps from ``v0``.
 
     Each sweep is v(x) <- sum over u, a of row(x, u) * column(x, a) *
     (reward + gamma * v(x')), taken over the pair's support only.  Sweeps
     stop once one moves v by at most ``tol``, or by no less than the sweep
-    before it: a contraction shrinks every move until rounding stalls it.
-    Raises MaxIterExceeded after ``max_iter`` sweeps without stopping.
+    before it: a contraction shrinks every move until rounding stalls it,
+    and the stalled sweep is not taken.  Raises MaxIterExceeded after
+    ``max_iter`` sweeps without stopping.
     """
     weight = row[:, :, None] * column[:, None, :]
     x, u, a = np.nonzero(weight)
@@ -95,17 +95,19 @@ def evaluate_pair(spec: GameSpec, row: np.ndarray, column: np.ndarray,
     successor = spec.transition[x, u, a]
     n = spec.n_states
     gain = np.bincount(x, weight * spec.reward[x, u, a], minlength=n)
-    v, move = v0, np.inf
-    for _ in range(max_iter):
+    last = np.inf
+
+    def sweep(v):
+        nonlocal last
         nxt = gain + spec.gamma * np.bincount(x, weight * v[successor],
                                               minlength=n)
-        last, move = move, float(np.abs(nxt - v).max())
-        v = nxt
-        if move <= tol or move >= last:
+        move = float(np.abs(nxt - v).max())
+        if move >= last:
             return v
-    raise MaxIterExceeded(
-        f"pair evaluation moved {move:.3e} > tol {tol:.3e} after "
-        f"{max_iter} sweeps", residual=move, iterations=max_iter)
+        last = move
+        return nxt
+
+    return fixed_point(sweep, v0, spec.gamma, tol, max_iter).q
 
 
 def solve(spec: GameSpec, backup: Callable[..., np.ndarray], *args,

@@ -11,9 +11,10 @@ from safegames.safety import InvariantSet
 from conftest import make_random_spec
 
 
-def _step(decrease=0.0, members=1, delta=0.0):
+def _step(decrease=0.0, members=1, delta=0.0, residual=None):
     return DpiStep(safety_delta=delta, safety_decrease=decrease,
-                   member_count=members, task_residual=0.0,
+                   member_count=members,
+                   task_residual=delta if residual is None else residual,
                    task_delta=delta, lp_values=np.full(2, np.nan))
 
 
@@ -186,6 +187,20 @@ def test_check_convergence_flags_shuffled_trace():
     shrinking = DpiTrace(steps=[_step(members=2), _step(members=1)],
                          final_constrained_residual=0.0)
     assert not dpi.check_convergence(shrinking, 1e-8).monotone_members
+
+
+def test_check_convergence_reads_the_last_task_residual():
+    # Safety settled, but the task table is still far from its fixed point.
+    unsettled = DpiTrace(steps=[_step(), _step(residual=1.0)],
+                         final_constrained_residual=0.0)
+    report = dpi.check_convergence(unsettled, 1e-8)
+    assert report.monotone and not report.converged
+    assert report.last_task_residual == 1.0
+    # A large task delta alone (a long last step) does not block convergence.
+    settled = DpiTrace(steps=[_step(), _step(residual=0.0)],
+                       final_constrained_residual=0.0)
+    settled.steps[-1].task_delta = 1.0
+    assert dpi.check_convergence(settled, 1e-8).converged
 
 
 def test_check_convergence_rejects_empty_trace():

@@ -133,9 +133,9 @@ def _recorded_batches(spec, monkeypatch):
     calls = []
     real = matrix_game.solve_all
 
-    def record(payoff, admissible, **kwargs):
+    def record(payoff, admissible):
         calls.append((payoff.copy(), admissible.copy()))
-        return real(payoff, admissible, **kwargs)
+        return real(payoff, admissible)
 
     monkeypatch.setattr(matrix_game, "solve_all", record)
     dpi.run(spec, DpiConfig())
@@ -168,7 +168,7 @@ def test_member_games_match_the_serial_simplex_bit_for_bit(which, monkeypatch):
     calls = _recorded_batches(spec, monkeypatch)[::step]
     assert len(calls) >= 4
     for payoff, admissible in calls:
-        strategy, value = solve_all(payoff, admissible)
+        strategy, value, _ = solve_all(payoff, admissible)
         empty = ~admissible.any(axis=1)
         assert np.isnan(value[empty]).all()
         assert not strategy[empty].any()
@@ -193,11 +193,11 @@ def _mixed_batch(n_cols, size=700, seed=0):
 def test_batch_composition_does_not_change_a_game(n_cols):
     payoff, admissible = _mixed_batch(n_cols)
     assert (admissible.sum(axis=1) == 3).sum() > matrix_game._CHUNK
-    strategy, value = solve_all(payoff, admissible)
+    strategy, value, _ = solve_all(payoff, admissible)
     _assert_matches_serial(payoff, admissible, strategy, value)
     for b in range(payoff.shape[0]):
-        alone_strategy, alone_value = solve_all(payoff[b:b + 1],
-                                                admissible[b:b + 1])
+        alone_strategy, alone_value, _ = solve_all(payoff[b:b + 1],
+                                                   admissible[b:b + 1])
         assert np.array_equal(alone_strategy[0], strategy[b])
         assert np.array_equal(alone_value[0], value[b], equal_nan=True)
     empty = ~admissible.any(axis=1)
@@ -207,11 +207,7 @@ def test_batch_composition_does_not_change_a_game(n_cols):
 @pytest.mark.parametrize("n_cols", [1, 3])
 def test_column_strategies_certify_the_values(n_cols):
     payoff, admissible = _mixed_batch(n_cols)
-    strategy, value, column = solve_all(payoff, admissible,
-                                        return_columns=True)
-    alone_strategy, alone_value = solve_all(payoff, admissible)
-    assert np.array_equal(strategy, alone_strategy)
-    assert np.array_equal(value, alone_value, equal_nan=True)
+    _, value, column = solve_all(payoff, admissible)
     assert not column[~admissible.any(axis=1)].any()
     for b in np.flatnonzero(admissible.any(axis=1)):
         sub = payoff[b][admissible[b]]
@@ -226,15 +222,31 @@ def test_one_row_game_column_is_the_lowest_index_argmin():
     payoff = np.array([[[2.0, 1.0, 1.0], [0.0, -5.0, 3.0]],
                        [[4.0, 3.0, 3.0], [0.0, 0.0, 0.0]]])
     admissible = np.array([[True, False], [True, False]])
-    strategy, value, column = solve_all(payoff, admissible,
-                                        return_columns=True)
+    strategy, value, column = solve_all(payoff, admissible)
     assert strategy.tolist() == [[1.0, 0.0], [1.0, 0.0]]
     assert value.tolist() == [1.0, 3.0]
     assert column.tolist() == [[0.0, 1.0, 0.0], [0.0, 1.0, 0.0]]
     # One column: the best row meets that column.
-    strategy, value, column = solve_all(payoff[:, :, :1], ~admissible,
-                                        return_columns=True)
+    strategy, value, column = solve_all(payoff[:, :, :1], ~admissible)
     assert value.tolist() == [0.0, 0.0] and column.tolist() == [[1.0], [1.0]]
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 7: the absolute 1e-12 "
+                   "entering threshold hides reduced costs at payoff scale "
+                   "1e-6")
+def test_small_payoff_scale_keeps_the_value():
+    # The batch hypothesis drew in test_batched_lp_values_match_linprog when
+    # the package held other float literals; it reads 3.3333311e-7.
+    payoff = np.zeros((1, 5, 5))
+    payoff[0, 0] = [0.0, 0.0, 0.0, 1.0, 1.0]
+    payoff[0, 3] = [1e-6, 0.0, 1.0, 0.0, 0.0]
+    payoff[0, 4] = [1.0, 1.0, 0.0, 0.0, 0.0]
+    admissible = np.zeros((1, 5), dtype=bool)
+    admissible[0, [0, 3, 4]] = True
+    _, reference = solve_support_enumeration(payoff[0], [0, 3, 4])
+    assert abs(reference - 1.0 / 3.0) <= 1e-12
+    value = solve_all(1e-6 * payoff, admissible)[1]
+    assert abs(value[0] / 1e-6 - reference) <= 1e-9
 
 
 def test_solve_all_names_the_failing_game():

@@ -175,7 +175,7 @@ def _linprog_value(payoff, rows):
 @given(game_batches())
 def test_batched_lp_values_match_support_enumeration(batch):
     payoff, admissible, scale = batch
-    strategy, value = matrix_game.solve_all(scale * payoff, admissible)
+    strategy, value, _ = matrix_game.solve_all(scale * payoff, admissible)
     for b in range(payoff.shape[0]):
         rows = np.flatnonzero(admissible[b])
         _, reference = solve_support_enumeration(payoff[b], rows)
