@@ -366,7 +366,8 @@ def build_parser(config=None) -> argparse.ArgumentParser:
                           help="check a stored safety table instead of "
                                "solving one")
     p_verify.add_argument("--tol", type=float, default=1e-10,
-                          help="tolerance of the induced-game solves")
+                          help="residual bound of the engine's restricted "
+                               "solve and the oracle's sweep stop")
     p_verify.set_defaults(func=cmd_verify)
 
     p_sweep = sub.add_parser("sweep", help="export exact max-min safety tables "

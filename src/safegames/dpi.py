@@ -14,22 +14,19 @@ The task side solves the restricted game: member states play their
 admissible actions, every other state plays its safety action.  Its table
 is always q = r + gamma * w[x'] for a state vector w.  Each outer step
 solves every state's matrix game on q in one ``matrix_game.solve_all``
-batch for both players; the row strategies are the task policy (a point
-mass on the safety action off the member set), and the values give the
-table's residual ||r + gamma * value[x'] - q|| under the restricted
-backup.  The step after it is a Newton step of Pollatschek and Avi-Itzhak
-(1969): the pair of row and column strategies is evaluated by sweeps
-(``perf.evaluate_pair``) from the current w, to a sweep change of
-max(tol, 1e-3 * residual), or of tol on the first step, where w starts at
-zero and on a game without choices that one evaluation is the answer.  A
-safeguard in the spirit of Filar and Tolwinski (1991) keeps the iteration
-convergent: within one restricted game, and after the first step from
-w = 0, a step is accepted only when its residual is at most gamma times the
-last one, halving its length along the Newton direction down to 1 - gamma
-and otherwise taking one restricted backup w <- value, which contracts the
-residual by gamma.  The loop exits
-once a step's safety rounds switch nothing and the residual is at most
-``tol``, so ``tol`` bounds the returned table's residual.
+batch for both players (``perf.restricted_games``); the row strategies are
+the task policy (a point mass on the safety action off the member set),
+and the values give the table's residual ||r + gamma * value[x'] - q||
+under the restricted backup.  The step after it is one safeguarded Newton
+step of Pollatschek and Avi-Itzhak (1969), ``perf.newton_step``, the step
+that ``verify`` also runs on a fixed restricted game through
+``perf.solve_restricted``: the pair of row and column strategies is
+evaluated from the current w, and within one restricted game, after the
+first step from w = 0, the safeguard accepts a step only when it contracts
+the residual by gamma.  A step whose safety rounds switched actions
+starts a new restricted game and is taken in full.  The loop exits once a
+step's safety rounds switch nothing and the residual is at most ``tol``,
+so ``tol`` bounds the returned table's residual.
 
 The matrix games model simultaneous play: the adversary responds to the
 policy mixture rather than to the realized action.  On member states the
@@ -45,7 +42,7 @@ from typing import List
 
 import numpy as np
 
-from . import matrix_game, perf, safety
+from . import perf, safety
 from .errors import InfeasibleGame, NonMemberSuccessor
 from .game import PROTAGONIST, DetPolicy, GameSpec, MixedPolicy
 
@@ -110,42 +107,6 @@ class ConvergenceReport:
         return self.converged and self.monotone and self.constrained_ok
 
 
-def _restricted_games(spec: GameSpec, w: np.ndarray, rows: np.ndarray):
-    """The task table r + gamma * w[x'], one LP batch of the restricted
-    game's matrix games on it, and the table's residual under the restricted
-    backup q <- r + gamma * value[x'].
-
-    Returns (q, row strategies, column strategies, values, residual).
-    """
-    q = spec.reward + spec.gamma * w[spec.transition]
-    s, values, t = matrix_game.solve_all(q, rows)
-    change = spec.reward + spec.gamma * values[spec.transition]
-    change -= q
-    return q, s, t, values, float(np.abs(change, out=change).max())
-
-
-def _safeguarded_step(spec: GameSpec, rows: np.ndarray, w: np.ndarray,
-                      target: np.ndarray, base):
-    """Step from ``w`` toward the Newton point ``target``.
-
-    ``base`` is the (values, residual) of the table at ``w``, or None when
-    the full step is taken unchecked.
-    A step is accepted when its residual is at most gamma times the base's.
-    Its length halves from 1 while it is at least 1 - gamma; a shorter step
-    promises less than the restricted backup from the base, which always
-    qualifies.  Returns the new state vector, the accepted step length (0
-    for the backup) and its ``_restricted_games`` result.
-    """
-    length = 1.0
-    while length >= 1.0 - spec.gamma:
-        trial = w + length * (target - w)
-        games = _restricted_games(spec, trial, rows)
-        if base is None or games[-1] <= spec.gamma * base[1]:
-            return trial, length, games
-        length /= 2
-    return base[0], 0.0, _restricted_games(spec, base[0], rows)
-
-
 def run(spec: GameSpec, cfg: DpiConfig = DpiConfig(),
         max_iter: int = safety.DEFAULT_MAX_ITER) -> DpiResult:
     """Run the dual iteration and return the final artifacts plus the trace.
@@ -183,18 +144,17 @@ def run(spec: GameSpec, cfg: DpiConfig = DpiConfig(),
             rows = inv.admissible.copy()
             off = ~inv.member
             rows[off, pi_h.action[off]] = True
-            base = None
 
         if k == 0:
-            newton, games = 0.0, _restricted_games(spec, w, rows)
+            newton, games = 0.0, perf.restricted_games(spec, w, rows)
         else:
-            stop = cfg.tol if k == 1 else max(cfg.tol, 1e-3 * residual)
-            target = perf.evaluate_pair(spec, s, t, w, stop, max_iter)
-            w, newton, games = _safeguarded_step(spec, rows, w, target, base)
-        q, s, t, values, residual = games
-        # The zero start is no table to protect: the first Newton step from
-        # it is taken in full, like the first one in a new restricted game.
-        base = (values, residual) if k else None
+            # The zero start is no table to protect: the first Newton step
+            # from it is taken in full, like the first one in a new
+            # restricted game.
+            w, newton, games = perf.newton_step(
+                spec, rows, w, games, cfg.tol, max_iter, first=k == 1,
+                checked=not (k == 1 or switched))
+        q, s, _, values, residual = games
 
         if prev_q_h is None:
             safety_delta, safety_decrease, task_delta = np.inf, 0.0, np.inf
@@ -219,9 +179,8 @@ def run(spec: GameSpec, cfg: DpiConfig = DpiConfig(),
             "no state admits persistent safety: "
             "the returned safety table has no member state")
     try:
-        # The backup leaves every cell off the induced game untouched.
-        trace.final_constrained_residual = float(
-            np.abs(perf.constrained_backup(q, spec, inv) - q).max())
+        trace.final_constrained_residual = perf.constrained_residual(
+            q, spec, inv)
     except NonMemberSuccessor:
         # A discounted classification need not be forward-invariant (a
         # member's successor may hold a small negative value); report an

@@ -108,7 +108,10 @@ def solve_induced_game(spec: GameSpec, inv: InvariantSet,
 
     Builds the induced game (member states, admissible rows) explicitly and
     iterates per-state matrix-game values to a fixed point; each sweep
-    solves all member games in one ``matrix_game.solve_all`` batch.  Only
+    solves all member games in one ``matrix_game.solve_all`` batch.  The
+    sweeps stop once one moves the values by at most ``tol``, or by no less
+    than the sweep before it: the moves of a contraction shrink until
+    rounding stalls them, and the stalled sweep is not taken.  Only
     member rows with admissible actions are meaningful in the returned
     table; other cells are zero.  Raises NonMemberSuccessor, naming the
     first exit ``find_invariance_violations`` reports, when the set is not
@@ -125,12 +128,15 @@ def solve_induced_game(spec: GameSpec, inv: InvariantSet,
     admissible = inv.admissible[members]
     reward, successors = spec.reward[members], spec.transition[members]
     values = np.zeros(spec.n_states)
+    last = np.inf
     for it in range(1, max_iter + 1):
         new_values = values.copy()
         payoff = reward + spec.gamma * values[successors]
         new_values[members] = matrix_game.solve_all(payoff, admissible)[1]
         residual = float(np.abs(new_values - values).max())
-        values = new_values
+        if residual >= last:
+            break
+        values, last = new_values, residual
         if residual <= tol:
             break
     else:

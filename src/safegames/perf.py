@@ -10,21 +10,29 @@ worst-case evaluations of a mixed protagonist exist and differ:
 
 The constrained backup restricts member states to their admissible actions
 and backs up the matrix-game value of the successor state, which is the
-fixed point the dual iteration converges to.  ``evaluate_pair`` gives the
-state values of a fixed pair of mixed strategies, the dual iteration's
-Newton step.
+fixed point the dual iteration converges to.
+
+The restricted game lets each state play the rows of a mask: member states
+their admissible actions, every other state one fixed row, so its fixed
+point is the constrained one on member states of a closed set.  Its table
+is r + gamma * w[x'] for a state vector w.  ``restricted_games`` solves its
+matrix games on such a table in one LP batch, ``evaluate_pair`` gives the
+state values of the batch's pair of mixed strategies, and ``newton_step``
+turns them into one safeguarded Newton step.  The dual iteration takes one
+such step per outer step; ``solve_restricted`` steps on a fixed mask to the
+fixed point, for ``verify``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
 from . import matrix_game
-from .errors import NonMemberSuccessor
+from .errors import MaxIterExceeded, NonMemberSuccessor
 from .game import GameSpec, MixedPolicy
-from .safety import DEFAULT_MAX_ITER, DEFAULT_TOL, FixedPointResult, InvariantSet, fixed_point
+from .safety import InvariantSet, fixed_point
 
 
 def pair_backup(q: np.ndarray, spec: GameSpec,
@@ -77,6 +85,13 @@ def constrained_backup(q: np.ndarray, spec: GameSpec, inv: InvariantSet) -> np.n
     return np.where(cells, spec.reward + spec.gamma * values[spec.transition], q)
 
 
+def constrained_residual(q: np.ndarray, spec: GameSpec,
+                         inv: InvariantSet) -> float:
+    """Sup-norm change of ``q`` under one ``constrained_backup``, which
+    leaves every cell off the induced game untouched."""
+    return float(np.abs(constrained_backup(q, spec, inv) - q).max())
+
+
 def evaluate_pair(spec: GameSpec, row: np.ndarray, column: np.ndarray,
                   v0: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
     """State values of a fixed pair of mixed strategies, row (n_states, n_u)
@@ -110,20 +125,89 @@ def evaluate_pair(spec: GameSpec, row: np.ndarray, column: np.ndarray,
     return fixed_point(sweep, v0, spec.gamma, tol, max_iter).q
 
 
-def solve(spec: GameSpec, backup: Callable[..., np.ndarray], *args,
-          tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
-          q0: Optional[np.ndarray] = None) -> FixedPointResult:
-    """Fixed point of ``backup(q, spec, *args)`` at discount ``gamma``,
-    starting from ``q0`` (zeros by default).
+class RestrictedGames(NamedTuple):
+    """A restricted game's table and one LP batch of its matrix games."""
 
-    For example ``solve(spec, minimax_policy_backup, pi)`` evaluates a mixed
-    policy under simultaneous play and ``solve(spec, constrained_backup,
-    inv)`` is the constrained fixed point on an invariant set.
+    q: np.ndarray        # r + gamma * w[x'] for the state vector w
+    row: np.ndarray      # row strategies, (n_states, n_u)
+    column: np.ndarray   # column strategies, (n_states, n_a)
+    values: np.ndarray   # per-state game values
+    residual: float      # ||r + gamma * values[x'] - q|| over all cells
+
+
+def restricted_games(spec: GameSpec, w: np.ndarray,
+                     rows: np.ndarray) -> RestrictedGames:
+    """The table r + gamma * w[x'], its matrix games over the row mask
+    ``rows`` in one ``matrix_game.solve_all`` batch, and the table's
+    residual under the restricted backup q <- r + gamma * value[x']."""
+    q = spec.reward + spec.gamma * w[spec.transition]
+    s, values, t = matrix_game.solve_all(q, rows)
+    change = spec.reward + spec.gamma * values[spec.transition]
+    change -= q
+    return RestrictedGames(q, s, t, values,
+                           float(np.abs(change, out=change).max()))
+
+
+def newton_step(spec: GameSpec, rows: np.ndarray, w: np.ndarray,
+                games: RestrictedGames, tol: float, max_iter: int,
+                first: bool, checked: bool
+                ) -> Tuple[np.ndarray, float, RestrictedGames]:
+    """One safeguarded Newton step on the restricted game ``rows`` from the
+    state vector ``w``, whose table's LP batch is ``games`` (its row mask
+    may be an earlier one).
+
+    The step of Pollatschek and Avi-Itzhak (1969) evaluates the pair of row
+    and column strategies of ``games`` by ``evaluate_pair`` from ``w``, to
+    a sweep change of max(tol, 1e-3 * residual), or of tol on the ``first``
+    step, from w = 0, where on a game without choices that one evaluation
+    is the answer.  Unless ``checked``, that full step is taken.  Otherwise
+    a safeguard in the spirit of Filar and Tolwinski (1991) accepts a step
+    only when its residual is at most gamma times that of ``games``: its
+    length halves from 1 while it is at least 1 - gamma, and a shorter step
+    promises less than the restricted backup w <- value, which always
+    qualifies.  Returns the new state vector, the accepted step length (0
+    for the backup) and its ``restricted_games``.
     """
-    if q0 is None:
-        q0 = np.zeros(spec.shape)
-    return fixed_point(lambda q: backup(q, spec, *args), q0, spec.gamma,
-                       tol, max_iter)
+    stop = tol if first else max(tol, 1e-3 * games.residual)
+    target = evaluate_pair(spec, games.row, games.column, w, stop, max_iter)
+    length = 1.0
+    while length >= 1.0 - spec.gamma:
+        trial = w + length * (target - w)
+        result = restricted_games(spec, trial, rows)
+        if not checked or result.residual <= spec.gamma * games.residual:
+            return trial, length, result
+        length /= 2
+    return games.values, 0.0, restricted_games(spec, games.values, rows)
+
+
+def solve_restricted(spec: GameSpec, rows: np.ndarray, tol: float,
+                     max_iter: int) -> Tuple[RestrictedGames, int]:
+    """Fixed point of the restricted game ``rows`` (every state needs a
+    row) by ``newton_step`` from w = 0, the first step taken in full.
+
+    Steps stop once the residual is at most ``tol``, or once rounding
+    stalls them: a step that falls back to the restricted backup without
+    lowering the residual below the last step's is not taken.  Raises
+    MaxIterExceeded after ``max_iter`` steps, which is also the budget of
+    each pair evaluation's sweeps.  Returns the last step's games and the
+    number of steps taken.
+    """
+    w = np.zeros(spec.n_states)
+    games = restricted_games(spec, w, rows)
+    steps = 0
+    while games.residual > tol:
+        if steps == max_iter:
+            raise MaxIterExceeded(
+                f"restricted game residual {games.residual:.3e} after "
+                f"{max_iter} Newton steps",
+                residual=games.residual, iterations=max_iter)
+        nxt, length, trial = newton_step(spec, rows, w, games, tol, max_iter,
+                                         first=not steps, checked=bool(steps))
+        if not length and trial.residual >= games.residual:
+            break
+        w, games = nxt, trial
+        steps += 1
+    return games, steps
 
 
 def state_value(q: np.ndarray, pi: MixedPolicy) -> np.ndarray:

@@ -26,7 +26,8 @@ of that evaluation the adversary's best response comes from policy
 iteration, and the max-min table from Hoffman-Karp strategy iteration of
 the protagonist around it; both stop after finitely many improvements.  No
 solve is warm-started.  ``fixed_point`` is plain value iteration of any
-contraction, which the task side (``perf.solve``) uses.
+contraction, which the task side's pair evaluation
+(``perf.evaluate_pair``) uses.
 """
 
 from __future__ import annotations

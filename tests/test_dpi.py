@@ -9,6 +9,7 @@ from safegames import dpi, oracle, perf, safety
 from safegames.dpi import DpiStep, DpiTrace
 from safegames.safety import InvariantSet
 from conftest import make_random_spec
+import value_iteration
 
 
 def _step(decrease=0.0, members=1, delta=0.0, residual=None):
@@ -64,7 +65,8 @@ def test_terminal_tables_match_standalone_solves():
         # terminal task values on member cells equal the constrained fixed
         # point recomputed from scratch on the terminal invariant set
         inv = result.invariant_set
-        scratch = perf.solve(spec, perf.constrained_backup, inv, tol=1e-11).q
+        scratch = value_iteration.solve(spec, perf.constrained_backup, inv,
+                                        tol=1e-11).q
         cells = np.broadcast_to(inv.member[:, None, None]
                                 & inv.admissible[:, :, None], spec.shape)
         assert np.abs((result.q - scratch)[cells]).max() <= 1e-6

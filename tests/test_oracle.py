@@ -6,6 +6,7 @@ from safegames import (ADVERSARY, PROTAGONIST, BudgetExceeded, DetPolicy,
 from safegames import oracle, perf, safety
 from safegames.safety import InvariantSet
 from conftest import make_random_spec
+import value_iteration
 from rollout import rollout
 
 
@@ -159,7 +160,8 @@ def test_induced_game_agrees_with_constrained_fixed_point():
     inv = safety.extract_invariant_set(
         safety.solve(spec, safety.optimal_backup).q)
     assert inv.member.any()
-    engine = perf.solve(spec, perf.constrained_backup, inv, tol=1e-10).q
+    engine = value_iteration.solve(spec, perf.constrained_backup, inv,
+                                   tol=1e-10).q
     independent = oracle.solve_induced_game(spec, inv, tol=1e-10)
     cells = np.broadcast_to(inv.member[:, None, None]
                             & inv.admissible[:, :, None], spec.shape)

@@ -1,8 +1,10 @@
+import dataclasses
 from collections import Counter
 
 import numpy as np
+import pytest
 
-from safegames import oracle, perf, safety, verify
+from safegames import matrix_game, oracle, perf, safety, verify
 from conftest import make_random_spec
 
 
@@ -67,3 +69,62 @@ def test_infeasible_game_checks_still_run(g3):
     assert all(r.passed for r in results)
     induced = [r for r in results if r.name == "induced_agreement"][0]
     assert induced.detail == "no member states"
+
+
+def _count_batches(monkeypatch):
+    """Count ``matrix_game.solve_all`` calls, in all and inside the engine
+    side's restricted solve; returns the counter and the engine's counts."""
+    calls, engine = Counter(), []
+    solve_all, solve_restricted = matrix_game.solve_all, perf.solve_restricted
+
+    def counting(*args):
+        calls["solve_all"] += 1
+        return solve_all(*args)
+
+    def restricted(*args):
+        before = calls["solve_all"]
+        result = solve_restricted(*args)
+        engine.append(calls["solve_all"] - before)
+        return result
+
+    monkeypatch.setattr(matrix_game, "solve_all", counting)
+    monkeypatch.setattr(perf, "solve_restricted", restricted)
+    return calls, engine
+
+
+def test_induced_agreement_engine_takes_few_lp_batches(monkeypatch):
+    # Value iteration of the constrained backup takes about 435 batches at
+    # gamma 0.95; a solve that falls back to sweeping fails here.
+    _, engine = _count_batches(monkeypatch)
+    checked = 0
+    for seed in range(12):
+        spec = make_random_spec(seed, n_states=8, n_u=2, n_a=2)
+        inv = safety.extract_invariant_set(
+            safety.solve(spec, safety.optimal_backup).q)
+        if not inv.member.any():
+            continue
+        engine.clear()
+        result = verify.induced_agreement_check(spec, inv)
+        assert result.passed, result.detail
+        assert len(engine) == 1 and engine[0] <= 20, (seed, engine)
+        assert "Newton steps" in result.detail
+        checked += 1
+    assert checked >= 5
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6, 1e8])
+def test_induced_agreement_passes_at_every_reward_scale(monkeypatch, scale):
+    # From 1e6 up the values' rounding alone keeps the two tables more than
+    # 1e-7 apart, and at 1e8 the absolute tol lies below it: both solves
+    # stop where rounding stalls them, and the tolerance follows their
+    # residuals.
+    base = make_random_spec(1, n_states=8, n_u=2, n_a=2)
+    inv = safety.extract_invariant_set(
+        safety.solve(base, safety.optimal_backup).q)
+    spec = dataclasses.replace(base, reward=scale * base.reward)
+    calls, _ = _count_batches(monkeypatch)
+    result = verify.induced_agreement_check(spec, inv)
+    assert result.passed, result.detail
+    # within seconds: at 1e8 value iteration without the stall stops runs
+    # out budgets of 200,000 (engine) and 100,000 (oracle) LP batches
+    assert calls["solve_all"] <= 1_000
