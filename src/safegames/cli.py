@@ -5,12 +5,11 @@ transition (nested x -> u -> a lists of state indices), reward (same shape),
 h (per-state constraint values) and optional labels.  Counts must be
 integers and the arrays rectangular; unknown fields are rejected.  Q tables
 export as CSV with one row per (x, u, a) cell and 12 significant digits;
-invariant sets render as binary PGM with 255 = member, 128 =
-boundary-ambiguous, 0 = non-member.
+invariant sets render as binary PGM with 255 = member, 0 = non-member.
 
 Exit codes: 0 success, 1 I/O, schema or flag-value error, or a numerical
 failure of a matrix-game LP (printed as ``error: numerical failure: ...``),
-2 infeasible game (the returned safety table has no member state), 3 a
+2 infeasible game (the returned invariant set is empty), 3 a
 safety solve's improvement budget or a task evaluation's sweep budget ran
 out, 4 verification property failed.
 Diagnostics go to stderr; data goes to files or stdout.
@@ -166,7 +165,6 @@ def write_pgm(path, inv: safety.InvariantSet, grid_shape=None) -> None:
         width, height = n, 1
     pixels = np.zeros(n, dtype=np.uint8)
     pixels[inv.member] = 255
-    pixels[inv.ambiguous] = 128
     with open(path, "wb") as fh:
         fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
         fh.write(pixels.reshape(height, width).tobytes())
@@ -417,8 +415,8 @@ def main(argv=None) -> int:
     except NumericalFailure as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 1
-    except InfeasibleGame:
-        print("infeasible: max max min Q_h^* < 0", file=sys.stderr)
+    except InfeasibleGame as exc:
+        print(f"infeasible: {exc}", file=sys.stderr)
         return 2
     except MaxIterExceeded as exc:
         print(f"iteration budget exhausted: {exc}", file=sys.stderr)

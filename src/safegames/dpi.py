@@ -6,9 +6,11 @@ rounds per outer step improves the policy (switching only on strict
 improvement) and evaluates it exactly with ``safety.solve``; a round that
 switches nothing ends the step's safety rounds, and no safety solve is
 warm-started.  Safety values grow monotonically toward the max-min fixed
-point, so the invariant set only ever expands.  Feasibility is decided
-once, on the returned safety table: a game whose returned invariant set is
-empty raises InfeasibleGame.
+point, and so does the sign test's set; closing it
+(``safety.extract_invariant_set``) is monotone in the set it starts from,
+so the invariant set only ever expands.  Feasibility is decided once, on
+the returned safety table: a game whose returned invariant set is empty
+raises InfeasibleGame.
 
 The task side solves the restricted game: member states play their
 admissible actions, every other state plays its safety action.  Its table
@@ -43,7 +45,7 @@ from typing import List
 import numpy as np
 
 from . import perf, safety
-from .errors import InfeasibleGame, NonMemberSuccessor
+from .errors import InfeasibleGame
 from .game import PROTAGONIST, DetPolicy, GameSpec, MixedPolicy
 
 
@@ -73,9 +75,6 @@ class DpiTrace:
     steps: List[DpiStep] = field(default_factory=list)
     final_constrained_residual: float = np.nan
     budget_exhausted: bool = False  # all m steps ran without meeting the exit test
-
-    def member_counts(self) -> List[int]:
-        return [s.member_count for s in self.steps]
 
 
 @dataclass(frozen=True)
@@ -113,8 +112,7 @@ def run(spec: GameSpec, cfg: DpiConfig = DpiConfig(),
 
     The loop exits once a step's safety rounds switch nothing and the task
     table's residual under the restricted backup is at most ``cfg.tol``.
-    Raises InfeasibleGame when the returned invariant set has no member
-    state (no state reaches a nonnegative worst-case safety value), and
+    Raises InfeasibleGame when the returned invariant set is empty, and
     propagates MaxIterExceeded from the safety solves' improvement budget
     and the pair evaluations' sweep budget (both ``max_iter``).
     """
@@ -139,7 +137,7 @@ def run(spec: GameSpec, cfg: DpiConfig = DpiConfig(),
             res_h = safety.solve(spec, safety.policy_backup, pi_h,
                                  max_iter=max_iter)
         q_h = res_h.q
-        inv = safety.extract_invariant_set(q_h, value_error=res_h.error_bound)
+        inv = safety.extract_invariant_set(q_h, spec)
         if k == 0 or switched:
             rows = inv.admissible.copy()
             off = ~inv.member
@@ -177,15 +175,8 @@ def run(spec: GameSpec, cfg: DpiConfig = DpiConfig(),
     if not inv.member.any():
         raise InfeasibleGame(
             "no state admits persistent safety: "
-            "the returned safety table has no member state")
-    try:
-        trace.final_constrained_residual = perf.constrained_residual(
-            q, spec, inv)
-    except NonMemberSuccessor:
-        # A discounted classification need not be forward-invariant (a
-        # member's successor may hold a small negative value); report an
-        # uncertified residual instead of failing.
-        trace.final_constrained_residual = np.inf
+            "the returned invariant set is empty")
+    trace.final_constrained_residual = perf.constrained_residual(q, spec, inv)
 
     return DpiResult(pi=MixedPolicy(s), pi_h=pi_h, q=q, q_h=q_h, trace=trace,
                      invariant_set=inv)

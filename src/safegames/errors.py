@@ -12,15 +12,16 @@ class MaxIterExceeded(RuntimeError):
 
 
 class InfeasibleGame(RuntimeError):
-    """No state admits persistent safety: max_x max_u min_a of the optimal
-    safety table is negative."""
+    """No state admits persistent safety: the invariant set returned from
+    the safety table is empty."""
 
 
 class NonMemberSuccessor(RuntimeError):
     """An admissible action at a member state leads outside the member set.
 
-    Signals a stale or inconsistent invariant set; cannot happen for sets
-    extracted from a converged safety solve.
+    Signals a set built by hand or stale; ``safety.extract_invariant_set``
+    returns sets closed under their admissible actions, which cannot raise
+    it.
     """
 
 

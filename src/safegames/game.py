@@ -134,7 +134,3 @@ class MixedPolicy:
         prob = np.zeros((actions.size, n_actions))
         prob[np.arange(actions.size), actions] = 1.0
         return cls(prob)
-
-    def support(self) -> np.ndarray:
-        """Boolean (n_states, n_actions) mask of actions with positive mass."""
-        return self.prob > 0.0

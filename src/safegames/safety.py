@@ -125,8 +125,9 @@ def _evaluate(spec: GameSpec, succ: np.ndarray) -> np.ndarray:
     v = np.minimum(a, b)
     # Doubling rounds differently from the backup.  Finish with the backup's
     # own one-step map until it repeats bit for bit (a change moves one orbit
-    # step per pass), so the table's measured residual is exactly zero and
-    # exact-zero values are not flagged ambiguous.
+    # step per pass), so the table is a float fixed point.  Membership needs
+    # that: kernel states can hold the value 0 exactly, and a value a few
+    # ulps below it would drop them from the set.
     for _ in range(spec.n_states):
         step = tail + spec.gamma_h * np.minimum(h, v[succ])
         if np.array_equal(step, v):
@@ -202,41 +203,40 @@ def improve_policy(q: np.ndarray, pi_h: DetPolicy) -> DetPolicy:
 class InvariantSet:
     """Membership mask plus per-state admissible protagonist actions.
 
-    ``member[x]`` holds iff some action keeps the worst-case safety value at
-    or above the extraction threshold; ``admissible[x, u]`` marks exactly
-    those actions.  ``ambiguous[x]`` flags states whose classification is
-    within the certified distance-to-fixed-point bound of the threshold,
-    where the discounted sign cannot be trusted.
+    ``admissible[x, u]`` holds iff action u keeps the worst-case safety value
+    at or above the extraction threshold and every adversary reply inside
+    the set; ``member[x]`` holds iff some action is admissible.
     """
 
     member: np.ndarray      # (n_states,) bool
     admissible: np.ndarray  # (n_states, n_u) bool
-    ambiguous: np.ndarray = None  # (n_states,) bool
-
-    def __post_init__(self):
-        if self.ambiguous is None:
-            object.__setattr__(self, "ambiguous",
-                               np.zeros(self.member.shape, dtype=bool))
 
     def member_count(self) -> int:
         return int(self.member.sum())
 
 
-def extract_invariant_set(q: np.ndarray, threshold: float = 0.0,
-                          value_error: float = 0.0) -> InvariantSet:
-    """Classify states from a converged safety table.
+def extract_invariant_set(q: np.ndarray, spec: GameSpec,
+                          threshold: float = 0.0) -> InvariantSet:
+    """Largest set closed under its own admissible actions inside the sign
+    test ``min_a q(x, u, a) >= threshold``.
 
-    ``value_error`` is the solve's distance-to-fixed-point bound; states whose
-    max-min value lies within 10x of it around the threshold are flagged
-    boundary-ambiguous instead of being silently trusted.
+    The sign test alone can admit an action whose successor fails it: a
+    large h(x) keeps (1 - gamma_h) h(x) + gamma_h v(x') nonnegative over a
+    small negative v(x').  Pruning such actions, and then states left
+    without one, until nothing changes closes the set.  Every cell with
+    h(x) < 0 is negative, so at threshold 0 a closed set lies inside the
+    viability kernel; on a float fixed point of the max-min backup every
+    kernel state keeps a nonnegative action that stays in the kernel, so
+    the set is the kernel at every gamma_h.
     """
-    row_min = q.min(axis=2)
-    admissible = row_min >= threshold
+    admissible = q.min(axis=2) >= threshold
     member = admissible.any(axis=1)
-    maxmin = row_min.max(axis=1)
-    ambiguous = np.abs(maxmin - threshold) < 10.0 * value_error
-    return InvariantSet(member=member, admissible=admissible,
-                        ambiguous=ambiguous)
+    while True:
+        admissible &= member[spec.transition].all(axis=2)
+        closed = admissible.any(axis=1)
+        if np.array_equal(closed, member):
+            return InvariantSet(member=member, admissible=admissible)
+        member = closed
 
 
 def state_value(q: np.ndarray) -> np.ndarray:

@@ -2,18 +2,17 @@
 
 Each check returns a PropertyResult; ``run_all`` is what the ``verify``
 command drives.  Every safety table comes from the exact solve
-(``safety.solve``).  Sign certification compares against the exact
-viability kernel of the undiscounted game (``oracle.viability_kernel``), and
-the three set checks share one max-min safety solve.  Induced agreement
-takes the engine's table from the dual iteration's Newton steps on the
-restricted game (``perf.solve_restricted``) and the oracle's from Shapley
-iteration, and accepts a gap that both tables' certified distances to the
-fixed point explain.
+(``safety.solve``).  The set checks share one max-min safety solve at the
+game's gamma_h.  Sign certification compares its member set with the exact
+viability kernel of the undiscounted game (``oracle.viability_kernel``).
+Induced agreement takes the engine's table from the dual iteration's Newton
+steps on the restricted game (``perf.solve_restricted``) and the oracle's
+from Shapley iteration, and accepts a gap that both tables' certified
+distances to the fixed point explain.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -24,7 +23,6 @@ from .errors import NonMemberSuccessor
 from .game import ADVERSARY, PROTAGONIST, DetPolicy, GameSpec, MixedPolicy
 
 _FLOAT_SLACK = 1e-12
-CERTIFICATION_GAMMA = 0.999
 
 
 @dataclass(frozen=True)
@@ -102,7 +100,7 @@ def set_inclusion_check(spec: GameSpec, optimal: safety.InvariantSet,
     for _ in range(n_policies):
         pi_h = DetPolicy(rng.integers(0, spec.n_u, spec.n_states), PROTAGONIST)
         q_pi = safety.solve(spec, safety.policy_backup, pi_h).q
-        member = safety.extract_invariant_set(q_pi).member
+        member = safety.extract_invariant_set(q_pi, spec).member
         ok = ok and bool((~member | optimal.member).all())
     return PropertyResult(
         "set_inclusion", ok,
@@ -110,21 +108,14 @@ def set_inclusion_check(spec: GameSpec, optimal: safety.InvariantSet,
 
 
 def sign_certification_check(spec: GameSpec,
-                             q_h: Optional[np.ndarray] = None) -> PropertyResult:
-    """Discounted membership at a near-1 discount must match the exact
-    undiscounted viability kernel on every non-ambiguous state."""
-    if q_h is None:
-        strict = dataclasses.replace(spec, gamma_h=CERTIFICATION_GAMMA)
-        res = safety.solve(strict, safety.optimal_backup)
-        inv = safety.extract_invariant_set(res.q, value_error=res.error_bound)
-    else:
-        inv = safety.extract_invariant_set(np.asarray(q_h, dtype=np.float64))
+                             inv: safety.InvariantSet) -> PropertyResult:
+    """The member set must equal the exact undiscounted viability kernel,
+    which set iteration finds independently of the safety table."""
     truth = oracle.viability_kernel(spec)
-    classified = ~inv.ambiguous
-    mismatches = int(((inv.member != truth) & classified).sum())
+    mismatches = int((inv.member != truth).sum())
     return PropertyResult(
         "sign_certification", mismatches == 0,
-        f"{int(classified.sum())}/{spec.n_states} states classified vs "
+        f"{inv.member_count()} members vs {int(truth.sum())} in the "
         f"set-iteration kernel, {mismatches} mismatches")
 
 
@@ -177,14 +168,17 @@ def induced_agreement_check(spec: GameSpec, inv: safety.InvariantSet,
 def run_all(spec: GameSpec, pairs: int = 200, seed: int = 0,
             q_h: Optional[np.ndarray] = None,
             tol: float = 1e-10) -> List[PropertyResult]:
-    """Run every cross-check; the set checks share one max-min solve."""
+    """Run every cross-check; the set checks share one max-min solve, and
+    sign certification checks the set of ``q_h`` instead when it is given."""
     optimal = safety.extract_invariant_set(
-        safety.solve(spec, safety.optimal_backup).q)
+        safety.solve(spec, safety.optimal_backup).q, spec)
+    certified = (optimal if q_h is None else safety.extract_invariant_set(
+        np.asarray(q_h, dtype=np.float64), spec))
     return [
         contraction_check(spec, pairs, seed),
         monotonicity_check(spec, pairs, seed),
         set_inclusion_check(spec, optimal, seed=seed),
-        sign_certification_check(spec, q_h=q_h),
+        sign_certification_check(spec, certified),
         forward_invariance_check(spec, optimal),
         induced_agreement_check(spec, optimal, tol),
     ]

@@ -78,6 +78,19 @@ def g3_matching_reward():
                     gamma=0.95, gamma_h=0.9)
 
 
+@pytest.fixture
+def chain():
+    """Five states in a line into an absorbing hazard, h = (2, 2, 2, 2, -1),
+    one action per player.  At gamma_h = 0.9 the sign test keeps state 0,
+    whose only successor holds a negative value; the viability kernel is
+    empty."""
+    return GameSpec(5, 1, 1,
+                    transition=np.array([1, 2, 3, 4, 4]).reshape(5, 1, 1),
+                    reward=np.zeros((5, 1, 1)),
+                    constraint=np.array([2.0, 2.0, 2.0, 2.0, -1.0]),
+                    gamma=0.95, gamma_h=0.9)
+
+
 def make_random_spec(seed, n_states=8, n_u=3, n_a=3, hazard_fraction=0.25,
                      gamma=0.95, gamma_h=0.99):
     return random_game(RandomGameParams(

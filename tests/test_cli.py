@@ -106,7 +106,8 @@ def test_solve_infeasible_exit_code(tmp_path, capsys):
     codes = [cli.main(["solve", "--game", str(path),
                        "--out", str(tmp_path / f"out{i}")]) for i in range(2)]
     assert codes == [2, 2]
-    assert "infeasible: max max min Q_h^* < 0" in capsys.readouterr().err
+    assert ("infeasible: no state admits persistent safety: the returned "
+            "invariant set is empty") in capsys.readouterr().err
     # a 300-state game with an empty viability kernel exits 2 as well
     assert cli.main(["solve", "--random", "--states", "300",
                      "--hazard-frac", "0.5", "--seed", "0",
@@ -131,8 +132,8 @@ def test_trace_feasible_column_is_a_nonempty_member_set(tmp_path):
 def test_grid_artifacts_agree_with_the_returned_set(tmp_path, monkeypatch):
     # The solve-grid benchmark's first game: 30 hazards on a 32x32 push grid.
     # Warm-started safety solves reported 789 members in every trace step
-    # against 993 returned, wrote 204 boundary-ambiguous pixels and gave
-    # those states the safety point mass instead of a matrix-game strategy.
+    # against 993 returned, left 204 zero-valued member states unsettled and
+    # gave them the safety point mass instead of a matrix-game strategy.
     argv = ["solve", "--grid", "32x32", "--adv", "1", "--out", str(tmp_path)]
     for x, y in push_grid_hazards():
         argv += ["--hazard", f"{x},{y}"]
@@ -365,18 +366,18 @@ def test_solve_random_300_converges_and_reports_its_residual(tmp_path,
     assert np.isnan(lp[:, ~member]).all() and np.isfinite(lp[:, member]).all()
 
 
-def test_verify_reports_a_member_set_with_an_exit(tmp_path, capsys):
-    # At gamma_h = 0.9 the first state of this chain keeps a nonnegative
-    # value although its only action leads to state 1, which does not.
+def test_chain_with_an_empty_kernel_is_infeasible_and_verifies(
+        chain, tmp_path, capsys):
+    # At gamma_h = 0.9 the sign test keeps the chain's first state although
+    # its only action leads to a negative state; the closed set is empty.
     path = tmp_path / "chain.json"
-    path.write_text(json.dumps({
-        "n_states": 5, "n_u": 1, "n_a": 1, "gamma": 0.95, "gamma_h": 0.9,
-        "transition": [[[1]], [[2]], [[3]], [[4]], [[4]]],
-        "reward": [[[0.0]]] * 5, "h": [2.0, 2.0, 2.0, 2.0, -1.0]}))
-    assert cli.main(["verify", "--game", str(path), "--pairs", "5"]) == 4
+    save_game(chain, path)
+    assert cli.main(["solve", "--game", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+    assert cli.main(["verify", "--game", str(path), "--pairs", "5"]) == 0
     captured = capsys.readouterr()
-    assert ("FAIL induced_agreement: admissible action 0 at member state 0 "
-            "reaches non-member state 1") in captured.out.splitlines()
+    lines = captured.out.splitlines()
+    assert len(lines) == 6 and all(line.startswith("PASS ") for line in lines)
     assert "Traceback" not in captured.err
 
 

@@ -25,7 +25,7 @@ def test_single_state_game(g1):
     assert result.pi.prob.tolist() == [[1.0]]
     assert result.q[0, 0, 0] == pytest.approx(2.0, abs=1e-8)
     assert result.q_h[0, 0, 0] == pytest.approx(2.0, abs=1e-8)
-    assert result.trace.member_counts() == [1, 1]
+    assert [s.member_count for s in result.trace.steps] == [1, 1]
     report = dpi.check_convergence(result.trace, 1e-8)
     assert report.converged and report.monotone and report.constrained_ok
 
@@ -39,7 +39,7 @@ def test_g2_final_policy_and_values(g2_rewarded):
     # the non-member state copies the safety policy as a point mass
     assert result.pi.prob[1, result.pi_h.action[1]] == 1.0
     assert result.invariant_set.member.tolist() == [True, False]
-    assert all(count == 1 for count in result.trace.member_counts())
+    assert all(s.member_count == 1 for s in result.trace.steps)
     report = dpi.check_convergence(result.trace, 1e-8)
     assert report.converged and report.monotone and report.constrained_ok
 
@@ -91,7 +91,7 @@ def test_task_policy_robust_set_does_not_shrink():
         result = dpi.run(spec, DpiConfig(m=40, n=2, tol=1e-11))
         member = result.invariant_set.member
         assert member.any()
-        task_set = InvariantSet(member, result.pi.support() & member[:, None])
+        task_set = InvariantSet(member, (result.pi.prob > 0) & member[:, None])
         violations, _ = oracle.find_invariance_violations(spec, task_set)
         assert violations == []
         assert (spec.constraint[member] >= 0).all()

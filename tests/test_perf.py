@@ -118,14 +118,14 @@ def test_minimax_backup_equals_per_action_for_point_mass(g2_rewarded):
 
 def test_constrained_fixed_point_g1(g1):
     inv = safety.extract_invariant_set(
-        safety.solve(g1, safety.optimal_backup).q)
+        safety.solve(g1, safety.optimal_backup).q, g1)
     res = value_iteration.solve(g1, perf.constrained_backup, inv, tol=1e-12)
     assert res.q[0, 0, 0] == pytest.approx(2.0, abs=1e-9)  # 1 / (1 - 0.5)
 
 
 def test_constrained_fixed_point_g2(g2_rewarded):
     inv = safety.extract_invariant_set(
-        safety.solve(g2_rewarded, safety.optimal_backup).q)
+        safety.solve(g2_rewarded, safety.optimal_backup).q, g2_rewarded)
     res = value_iteration.solve(g2_rewarded, perf.constrained_backup, inv,
                                 tol=1e-12)
     assert res.q[0, 0, 0] == pytest.approx(1.0 / (1.0 - g2_rewarded.gamma),
@@ -135,7 +135,7 @@ def test_constrained_fixed_point_g2(g2_rewarded):
 def test_constrained_idempotent_on_member_cells():
     spec = make_random_spec(3, n_states=6, n_u=2, n_a=2)
     inv = safety.extract_invariant_set(
-        safety.solve(spec, safety.optimal_backup).q)
+        safety.solve(spec, safety.optimal_backup).q, spec)
     assert inv.member.any()
     first = value_iteration.solve(spec, perf.constrained_backup, inv,
                                   tol=1e-11).q
@@ -156,7 +156,7 @@ def _verify_rows(inv):
 
 def test_restricted_solve_g2(g2_rewarded):
     inv = safety.extract_invariant_set(
-        safety.solve(g2_rewarded, safety.optimal_backup).q)
+        safety.solve(g2_rewarded, safety.optimal_backup).q, g2_rewarded)
     games, steps = perf.solve_restricted(g2_rewarded, _verify_rows(inv),
                                          1e-12, safety.DEFAULT_MAX_ITER)
     assert games.q[0, 0, 0] == pytest.approx(1.0 / (1.0 - g2_rewarded.gamma),
@@ -169,7 +169,7 @@ def test_restricted_solve_matches_value_iteration():
     for seed in (3, 4):
         spec = make_random_spec(seed, n_states=6, n_u=2, n_a=2)
         inv = safety.extract_invariant_set(
-            safety.solve(spec, safety.optimal_backup).q)
+            safety.solve(spec, safety.optimal_backup).q, spec)
         assert inv.member.any()
         games, _ = perf.solve_restricted(spec, _verify_rows(inv), 1e-11,
                                          safety.DEFAULT_MAX_ITER)
@@ -184,7 +184,7 @@ def test_restricted_solve_matches_value_iteration():
 def test_restricted_solve_budget_and_rounding_stall():
     spec = make_random_spec(1, n_states=8, n_u=2, n_a=2)
     inv = safety.extract_invariant_set(
-        safety.solve(spec, safety.optimal_backup).q)
+        safety.solve(spec, safety.optimal_backup).q, spec)
     rows = _verify_rows(inv)
     # one budget bounds the steps and each pair evaluation's sweeps
     with pytest.raises(MaxIterExceeded) as err:
@@ -201,7 +201,7 @@ def test_restricted_solve_budget_and_rounding_stall():
 
 def test_constrained_leaves_nonmember_rows_untouched(g2_rewarded):
     inv = safety.extract_invariant_set(
-        safety.solve(g2_rewarded, safety.optimal_backup).q)
+        safety.solve(g2_rewarded, safety.optimal_backup).q, g2_rewarded)
     q0 = np.full(g2_rewarded.shape, 7.0)
     out = perf.constrained_backup(q0, g2_rewarded, inv)
     assert (out[1] == 7.0).all()          # non-member state untouched
@@ -233,7 +233,7 @@ def _first_exit_message(spec, inv):
 def test_constrained_names_the_first_exit_of_a_stale_set():
     spec = make_random_spec(2)
     inv = safety.extract_invariant_set(
-        safety.solve(spec, safety.optimal_backup).q)
+        safety.solve(spec, safety.optimal_backup).q, spec)
     assert _first_exit_message(spec, inv) is None
     # Mark two inadmissible cells admissible; each reaches a non-member.
     exits = [(x, u) for x in np.flatnonzero(inv.member)

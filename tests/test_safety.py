@@ -138,34 +138,47 @@ def test_improve_policy_tie_breaks_low_index():
 
 def test_extract_invariant_set_anchors(g1, g2, g3):
     inv1 = safety.extract_invariant_set(
-        safety.solve(g1, safety.optimal_backup).q)
+        safety.solve(g1, safety.optimal_backup).q, g1)
     assert inv1.member.tolist() == [True]
     assert np.flatnonzero(inv1.admissible[0]).tolist() == [0]
 
     inv2 = safety.extract_invariant_set(
-        safety.solve(g2, safety.optimal_backup).q)
+        safety.solve(g2, safety.optimal_backup).q, g2)
     assert inv2.member.tolist() == [True, False]
     assert np.flatnonzero(inv2.admissible[0]).tolist() == [0]
     assert np.flatnonzero(inv2.admissible[1]).tolist() == []
 
     inv3 = safety.extract_invariant_set(
-        safety.solve(g3, safety.optimal_backup).q)
+        safety.solve(g3, safety.optimal_backup).q, g3)
     assert not inv3.member.any()
 
 
-def test_boundary_ambiguity_flagging():
-    q = np.zeros((2, 1, 1))
-    q[0] = 1e-9
-    q[1] = 0.5
-    inv = safety.extract_invariant_set(q, value_error=1e-9)
-    assert inv.ambiguous.tolist() == [True, False]
-    assert inv.member.tolist() == [True, True]
+def test_extract_invariant_set_closes_the_sign_test(chain):
+    # At gamma_h = 0.9 state 0 keeps 0.2 + 0.9 * v(1) >= 0 although state 1,
+    # its only successor, is negative; the closed set and the kernel are
+    # empty.
+    q = safety.solve(chain, safety.optimal_backup).q
+    assert q[0].min() >= 0.0 > q[1].min()
+    inv = safety.extract_invariant_set(q, chain)
+    assert not inv.member.any() and not inv.admissible.any()
+    assert not oracle.viability_kernel(chain).any()
+    # A second action that keeps state 0 in place makes it a member, and
+    # its first action, which passes the sign test, stays inadmissible.
+    transition = np.repeat(chain.transition, 2, axis=1)
+    transition[0, 1] = 0
+    spec = dataclasses.replace(chain, n_u=2, transition=transition,
+                               reward=np.zeros((5, 2, 1)))
+    q = safety.solve(spec, safety.optimal_backup).q
+    assert q[0, 0, 0] >= 0.0
+    inv = safety.extract_invariant_set(q, spec)
+    assert inv.member.tolist() == [True, False, False, False, False]
+    assert inv.admissible[0].tolist() == [False, True]
 
 
 def test_feasibility_anchors(g1, g2, g3):
     def feasible(spec):
         q = safety.solve(spec, safety.optimal_backup).q
-        return safety.extract_invariant_set(q).member.any()
+        return safety.extract_invariant_set(q, spec).member.any()
 
     assert feasible(g1)
     assert feasible(g2)
@@ -220,12 +233,12 @@ def test_set_inclusion_chain():
     for seed in range(8):
         spec = make_random_spec(seed)
         optimal = safety.extract_invariant_set(
-            safety.solve(spec, safety.optimal_backup).q)
+            safety.solve(spec, safety.optimal_backup).q, spec)
         constraint_set = spec.constraint >= 0
         assert (~optimal.member | constraint_set).all()
         pi = DetPolicy(rng.integers(0, spec.n_u, spec.n_states), PROTAGONIST)
         policy_set = safety.extract_invariant_set(
-            safety.solve(spec, safety.policy_backup, pi).q)
+            safety.solve(spec, safety.policy_backup, pi).q, spec)
         assert (~policy_set.member | optimal.member).all()
 
 
@@ -253,7 +266,7 @@ def test_exact_tables_agree_with_value_iteration():
 def test_exact_solve_classifies_zero_values_on_a_push_grid():
     # About 200 states of this grid hold the value 0 exactly.  Doubling
     # alone leaves the max-min table a few ulps off its own backup, which
-    # flags every one of them ambiguous.
+    # would drop every one of them from the set.
     spec = gridworld(GridworldParams(width=32, height=32,
                                      hazard_cells=push_grid_hazards(),
                                      goal_cell=(31, 31)))
@@ -261,8 +274,7 @@ def test_exact_solve_classifies_zero_values_on_a_push_grid():
     for gamma_h in (0.99, 0.999):
         strict = dataclasses.replace(spec, gamma_h=gamma_h)
         res = safety.solve(strict, safety.optimal_backup)
-        inv = safety.extract_invariant_set(res.q, value_error=res.error_bound)
+        inv = safety.extract_invariant_set(res.q, strict)
         assert res.residual == 0.0
         assert (safety.state_value(res.q)[kernel] == 0.0).sum() > 100
-        assert not inv.ambiguous.any()
         assert np.array_equal(inv.member, kernel)

@@ -23,7 +23,9 @@ def test_sign_certification_uses_kernel_beyond_budget():
     within = make_random_spec(2, n_states=4, n_u=2, n_a=2)
     assert 3 ** 12 * 3 ** 12 > oracle.ENUM_BUDGET >= 2 ** 4 * 2 ** 4
     for spec in (beyond, within):
-        result = verify.sign_certification_check(spec)
+        inv = safety.extract_invariant_set(
+            safety.solve(spec, safety.optimal_backup).q, spec)
+        result = verify.sign_certification_check(spec, inv)
         assert result.passed
         assert "kernel" in result.detail
 
@@ -51,7 +53,7 @@ def test_run_all_solves_the_max_min_table_once(monkeypatch):
 
     monkeypatch.setattr(verify.safety, "solve", counting)
     verify.run_all(spec, pairs=5)
-    assert discounts == {spec.gamma_h: 1, verify.CERTIFICATION_GAMMA: 1}
+    assert discounts == {spec.gamma_h: 1}
     discounts.clear()
     verify.run_all(spec, pairs=5, q_h=np.ones(spec.shape))
     assert discounts == {spec.gamma_h: 1}
@@ -60,8 +62,20 @@ def test_run_all_solves_the_max_min_table_once(monkeypatch):
 def test_sign_certification_rejects_corrupted_table():
     spec = make_random_spec(2, n_states=4, n_u=2, n_a=2)
     fake = np.ones(spec.shape)  # claims every state is safe
-    result = verify.sign_certification_check(spec, q_h=fake)
+    result = verify.sign_certification_check(
+        spec, safety.extract_invariant_set(fake, spec))
     assert not result.passed
+
+
+def test_induced_agreement_fails_on_a_set_with_an_exit(chain):
+    # The chain's sign test alone keeps state 0, whose only action leads to
+    # state 1 outside the set.
+    stale = safety.InvariantSet(member=np.array([True] + [False] * 4),
+                                admissible=np.array([[True]] + [[False]] * 4))
+    result = verify.induced_agreement_check(chain, stale)
+    assert not result.passed
+    assert result.detail == ("admissible action 0 at member state 0 reaches "
+                             "non-member state 1")
 
 
 def test_infeasible_game_checks_still_run(g3):
@@ -100,7 +114,7 @@ def test_induced_agreement_engine_takes_few_lp_batches(monkeypatch):
     for seed in range(12):
         spec = make_random_spec(seed, n_states=8, n_u=2, n_a=2)
         inv = safety.extract_invariant_set(
-            safety.solve(spec, safety.optimal_backup).q)
+            safety.solve(spec, safety.optimal_backup).q, spec)
         if not inv.member.any():
             continue
         engine.clear()
@@ -120,7 +134,7 @@ def test_induced_agreement_passes_at_every_reward_scale(monkeypatch, scale):
     # residuals.
     base = make_random_spec(1, n_states=8, n_u=2, n_a=2)
     inv = safety.extract_invariant_set(
-        safety.solve(base, safety.optimal_backup).q)
+        safety.solve(base, safety.optimal_backup).q, base)
     spec = dataclasses.replace(base, reward=scale * base.reward)
     calls, _ = _count_batches(monkeypatch)
     result = verify.induced_agreement_check(spec, inv)
