@@ -98,12 +98,16 @@ def save_game(spec: GameSpec, path, labels=None) -> None:
 
 def _write_cells(fh, q: np.ndarray, prefix: str = "") -> None:
     """Write one CSV row per (x, u, a) cell: the indices, ``prefix`` and the
-    value to 12 significant digits.  One state's values at a time become
-    Python floats, which format like numpy's and index faster."""
+    value to 12 significant digits.  A template of one state's rows is built
+    once per table (so ``prefix`` must hold no braces), and each state is one
+    write of it, formatted with x and that state's values.  One state's
+    values at a time become Python floats, which format like numpy's, so the
+    writer streams in O(n_u * n_a) memory."""
+    n_u, n_a = q.shape[1:]
+    rows = "".join(f"{{0}},{u},{a},{prefix}{{{u * n_a + a + 1}:.12g}}\n"
+                   for u in range(n_u) for a in range(n_a))
     for x in range(q.shape[0]):
-        for u, row in enumerate(q[x].tolist()):
-            for a, value in enumerate(row):
-                fh.write(f"{x},{u},{a},{prefix}{value:.12g}\n")
+        fh.write(rows.format(x, *q[x].ravel().tolist()))
 
 
 def write_q_csv(path, q: np.ndarray) -> None:

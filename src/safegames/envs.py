@@ -63,19 +63,19 @@ class GridworldParams:
     gamma_h: float = 0.99
 
 
-def _cell_index(cx: int, cy: int, width: int) -> int:
-    return cy * width + cx
-
-
 def gridworld(params: GridworldParams) -> GameSpec:
     """Grid game where the adversary may shove the agent one cell.
 
-    States are cells, protagonist actions are stay/N/S/E/W, adversary pushes
-    come after the move on the same timestep (matching the joint dynamics
-    f(x, u, a)) and both displacements clip at the walls.  The constraint is
-    the Chebyshev distance to the nearest hazard minus one, so hazards sit at
-    -1 and their neighbours at 0; with no hazards it is the width+height
-    sentinel.  Reward is +1 on the goal cell and -0.01 per step elsewhere.
+    States are cells numbered row by row (cell (x, y) is state y * width +
+    x), protagonist actions are stay/N/S/E/W, adversary pushes come after
+    the move on the same timestep (matching the joint dynamics f(x, u, a))
+    and both displacements clip at the walls.  The constraint is the Chebyshev
+    distance to the nearest hazard minus one, so hazards sit at -1 and their
+    neighbours at 0; with no hazards it is the width+height sentinel.
+    Reward is +1 on the goal cell and -0.01 per step elsewhere.  The tables
+    are built by broadcasting the move and push tables over all cells, and
+    the distance as a running minimum over the hazards, so memory stays
+    linear in the cell count.
     """
     w, h = params.width, params.height
     if w < 2 or h < 2:
@@ -94,30 +94,25 @@ def gridworld(params: GridworldParams) -> GameSpec:
 
     n_states = w * h
     n_u = n_a = len(_MOVES)
-    transition = np.zeros((n_states, n_u, n_a), dtype=np.int64)
+    cy, cx = np.divmod(np.arange(n_states, dtype=np.int64), w)
+    moves = np.array(_MOVES, dtype=np.int64)
+    pushes = moves * params.adversary_strength
+    mx = np.clip(cx[:, None] + moves[:, 0], 0, w - 1)      # (x, u)
+    my = np.clip(cy[:, None] + moves[:, 1], 0, h - 1)
+    nx = mx[:, :, None] + pushes[:, 0]                     # (x, u, a)
+    transition = my[:, :, None] + pushes[:, 1]
+    np.clip(nx, 0, w - 1, out=nx)
+    np.clip(transition, 0, h - 1, out=transition)
+    transition *= w
+    transition += nx
+
     reward = np.full((n_states, n_u, n_a), -0.01)
-    constraint = np.empty(n_states)
-    goal = _cell_index(gx, gy, w)
+    reward[gy * w + gx] = 1.0
+    # Starting one past the sentinel leaves w + h when there is no hazard;
+    # any hazard is nearer than that.
+    dist = np.full(n_states, w + h + 1, dtype=np.int64)
+    for hx, hy in hazards:
+        np.minimum(dist, np.maximum(np.abs(cx - hx), np.abs(cy - hy)), out=dist)
 
-    def clip(cx, cy):
-        return min(max(cx, 0), w - 1), min(max(cy, 0), h - 1)
-
-    for cy in range(h):
-        for cx in range(w):
-            x = _cell_index(cx, cy, w)
-            if hazards:
-                dist = min(max(abs(cx - hx), abs(cy - hy)) for hx, hy in hazards)
-                constraint[x] = dist - 1
-            else:
-                constraint[x] = w + h
-            for u, (dux, duy) in enumerate(_MOVES):
-                mx, my = clip(cx + dux, cy + duy)
-                for a, (dax, day) in enumerate(_MOVES):
-                    nx, ny = clip(mx + dax * params.adversary_strength,
-                                  my + day * params.adversary_strength)
-                    transition[x, u, a] = _cell_index(nx, ny, w)
-            if x == goal:
-                reward[x, :, :] = 1.0
-
-    return GameSpec(n_states, n_u, n_a, transition, reward, constraint,
+    return GameSpec(n_states, n_u, n_a, transition, reward, dist - 1,
                     gamma=params.gamma, gamma_h=params.gamma_h)

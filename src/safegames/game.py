@@ -123,14 +123,3 @@ class MixedPolicy:
         row_sums = self.prob.sum(axis=1)
         if np.abs(row_sums - 1.0).max() > 1e-12:
             raise ValueError("policy rows must sum to 1 within 1e-12")
-
-    @classmethod
-    def uniform(cls, n_states: int, n_actions: int):
-        return cls(np.full((n_states, n_actions), 1.0 / n_actions))
-
-    @classmethod
-    def point_mass(cls, actions: np.ndarray, n_actions: int):
-        actions = np.asarray(actions, dtype=np.int64)
-        prob = np.zeros((actions.size, n_actions))
-        prob[np.arange(actions.size), actions] = 1.0
-        return cls(prob)

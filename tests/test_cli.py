@@ -1,5 +1,7 @@
 import dataclasses
+import io
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -233,6 +235,56 @@ def test_verify_rejects_malformed_safety_table(tmp_path, capsys, fault):
     assert code == 1
     assert captured.err.startswith("error: ") and "qh.csv" in captured.err
     assert captured.out == ""
+
+
+def _write_rows(fh, q, prefix=""):
+    """The row-at-a-time writer that ``cli._write_cells`` replaced: the
+    reference for its bytes."""
+    for x in range(q.shape[0]):
+        for u, row in enumerate(q[x].tolist()):
+            for a, value in enumerate(row):
+                fh.write(f"{x},{u},{a},{prefix}{value:.12g}\n")
+
+
+_AWKWARD_VALUES = (-0.0, 1e-300, 1 / 3, -7.25, 1e17)
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1), (3, 2, 4)])
+def test_q_csv_writes_the_row_writers_bytes(tmp_path, shape):
+    q = np.resize(_AWKWARD_VALUES, shape)
+    for prefix in ("", "0.999,"):
+        written, expected = io.StringIO(), io.StringIO()
+        cli._write_cells(written, q, prefix)
+        _write_rows(expected, q, prefix)
+        assert written.getvalue() == expected.getvalue()
+    path = tmp_path / "q.csv"
+    cli.write_q_csv(path, q)
+    expected = io.StringIO()
+    expected.write("x,u,a,value\n")
+    _write_rows(expected, q)
+    assert path.read_text() == expected.getvalue()
+    # read back exactly what was written: the values at 12 digits
+    back = cli.read_q_csv(path, shape)
+    rounded = np.array([float(f"{v:.12g}") for v in q.ravel()]).reshape(shape)
+    assert np.array_equal(back, rounded)
+    assert np.array_equal(np.signbit(back), np.signbit(q))
+
+
+def test_sweep_out_writes_the_row_writers_bytes(tmp_path, monkeypatch):
+    spec = random_game(RandomGameParams(seed=4, n_states=3, n_u=2, n_a=4))
+    game_path, out_path = tmp_path / "g.json", tmp_path / "sweep.csv"
+    save_game(spec, game_path)
+    tables = {0.9: np.resize(_AWKWARD_VALUES, spec.shape),
+              0.99: -np.resize(_AWKWARD_VALUES[::-1], spec.shape)}
+    monkeypatch.setattr(cli.safety, "solve", lambda game, backup:
+                        SimpleNamespace(q=tables[game.gamma_h]))
+    assert cli.main(["sweep", "--game", str(game_path), "--gammas", "0.9,0.99",
+                     "--out", str(out_path)]) == 0
+    expected = io.StringIO()
+    expected.write("x,u,a,gamma_h,value\n")
+    for gamma_h, q in tables.items():
+        _write_rows(expected, q, f"{gamma_h:.12g},")
+    assert out_path.read_text() == expected.getvalue()
 
 
 def test_sweep_closed_form_to_stdout(tmp_path, capsys):

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from safegames import validate
 from safegames.envs import (GridworldParams, RandomGameParams, gridworld,
                             random_game)
 from safegames import oracle, safety
+from grid_reference import gridworld_arrays
 
 
 def test_random_game_deterministic():
@@ -126,3 +128,39 @@ def test_gridworld_param_guards():
         gridworld(GridworldParams(hazard_cells=((9, 0),)))
     with pytest.raises(ValueError):
         gridworld(GridworldParams(adversary_strength=2))
+
+
+def _assert_matches_reference(params):
+    spec = gridworld(params)
+    for built, ref in zip((spec.transition, spec.reward, spec.constraint),
+                          gridworld_arrays(params)):
+        assert built.dtype == ref.dtype
+        assert np.array_equal(built, ref)
+
+
+@st.composite
+def grid_params(draw):
+    """Grids of 2-12 cells a side, up to six hazards and a goal that is not
+    a hazard, at adversary strength 0 or 1."""
+    w, h = draw(st.integers(2, 12)), draw(st.integers(2, 12))
+    cells = draw(st.lists(st.integers(0, w * h - 1), min_size=1, max_size=7,
+                          unique=True))
+    goal, *hazards = [(c % w, c // w) for c in cells]
+    return GridworldParams(width=w, height=h, hazard_cells=tuple(hazards),
+                           goal_cell=goal,
+                           adversary_strength=draw(st.sampled_from((0, 1))))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(grid_params())
+def test_gridworld_equals_the_cell_loop(params):
+    _assert_matches_reference(params)
+
+
+def test_gridworld_equals_the_cell_loop_on_a_bench_sized_grid():
+    rng = np.random.default_rng(0)
+    cells = np.sort(rng.choice(32 * 32 - 1, 30, replace=False))
+    _assert_matches_reference(GridworldParams(
+        width=32, height=32,
+        hazard_cells=tuple((int(c % 32), int(c // 32)) for c in cells),
+        goal_cell=(31, 31), adversary_strength=1))

@@ -7,6 +7,7 @@ from safegames import (ADVERSARY, PROTAGONIST, DetPolicy, GameSpec,
                        MixedPolicy, validate)
 from conftest import make_random_spec
 from rollout import rollout
+import policies
 
 
 def test_smallest_legal_spec_passes(g1):
@@ -99,9 +100,9 @@ def test_mixed_policy_validation():
         MixedPolicy(np.array([[0.5, 0.4]]))  # does not sum to 1
     with pytest.raises(ValueError):
         MixedPolicy(np.array([[1.5, -0.5]]))  # negative mass
-    uniform = MixedPolicy.uniform(3, 4)
+    uniform = policies.uniform(3, 4)
     assert uniform.prob.shape == (3, 4)
-    point = MixedPolicy.point_mass(np.array([2, 0]), 3)
+    point = policies.point_mass(np.array([2, 0]), 3)
     assert point.prob[0, 2] == 1.0 and point.prob[1, 0] == 1.0
     assert (point.prob > 0).sum() == 2
 

@@ -8,6 +8,7 @@ from safegames import (DpiConfig, MaxIterExceeded, MixedPolicy,
 from safegames import dpi, perf, safety
 from safegames.safety import InvariantSet
 from conftest import make_random_spec
+import policies
 import value_iteration
 
 
@@ -34,8 +35,8 @@ def _linear_solve_pair_value(spec, pi, mu):
 
 
 def test_pair_backup_g1_geometric_series(g1):
-    pi = MixedPolicy.uniform(1, 1)
-    mu = MixedPolicy.uniform(1, 1)
+    pi = policies.uniform(1, 1)
+    mu = policies.uniform(1, 1)
     q = np.full((1, 1, 1), 2.0)
     assert np.array_equal(perf.pair_backup(q, g1, pi, mu), q)  # 1 + 0.5*2
     assert np.array_equal(perf.pair_backup(np.zeros((1, 1, 1)), g1, pi, mu),
@@ -43,8 +44,8 @@ def test_pair_backup_g1_geometric_series(g1):
 
 
 def test_pair_fixed_point_matches_linear_solve(g2_rewarded):
-    pi = MixedPolicy.uniform(2, 2)
-    mu = MixedPolicy.uniform(2, 1)
+    pi = policies.uniform(2, 2)
+    mu = policies.uniform(2, 1)
     expected = _linear_solve_pair_value(g2_rewarded, pi, mu)
     got = perf.fixed_point(
         lambda q: perf.pair_backup(q, g2_rewarded, pi, mu),
@@ -66,15 +67,15 @@ def test_pair_fixed_point_matches_linear_solve_random():
 
 
 def test_policy_backup_singleton_adversary_matches_pair(g1):
-    pi = MixedPolicy.uniform(1, 1)
-    mu = MixedPolicy.uniform(1, 1)
+    pi = policies.uniform(1, 1)
+    mu = policies.uniform(1, 1)
     q = np.random.default_rng(0).uniform(-1, 1, (1, 1, 1))
     assert np.array_equal(perf.policy_backup(q, g1, pi),
                           perf.pair_backup(q, g1, pi, mu))
 
 
 def test_policy_backup_constant_table(g3):
-    pi = MixedPolicy.uniform(2, 2)
+    pi = policies.uniform(2, 2)
     q = np.full(g3.shape, 3.0)
     out = perf.policy_backup(q, g3, pi)
     assert np.abs(out - (g3.reward + g3.gamma * 3.0)).max() <= 1e-12
@@ -83,7 +84,7 @@ def test_policy_backup_constant_table(g3):
 def test_policy_eval_matching_reward(g3_matching_reward):
     # Independent plain iteration of the same backup.
     spec = g3_matching_reward
-    pi = MixedPolicy.uniform(2, 2)
+    pi = policies.uniform(2, 2)
     q = np.zeros(spec.shape)
     for _ in range(2000):
         nxt = perf.policy_backup(q, spec, pi)
@@ -110,7 +111,7 @@ def test_minimax_backup_dominates_per_action_backup():
 
 
 def test_minimax_backup_equals_per_action_for_point_mass(g2_rewarded):
-    pi = MixedPolicy.point_mass(np.array([0, 0]), 2)
+    pi = policies.point_mass(np.array([0, 0]), 2)
     q = np.random.default_rng(1).uniform(-1, 1, g2_rewarded.shape)
     assert np.abs(perf.minimax_policy_backup(q, g2_rewarded, pi)
                   - perf.policy_backup(q, g2_rewarded, pi)).max() <= 1e-12
@@ -253,7 +254,7 @@ def test_constrained_names_the_first_exit_of_a_stale_set():
 def test_perf_fixed_point_bound():
     for seed in range(4):
         spec = make_random_spec(seed, n_states=6, n_u=2, n_a=2)
-        pi = MixedPolicy.uniform(6, 2)
+        pi = policies.uniform(6, 2)
         q = value_iteration.solve(spec, perf.policy_backup, pi).q
         bound = np.abs(spec.reward).max() / (1.0 - spec.gamma)
         assert np.abs(q).max() <= bound + 1e-9
@@ -279,7 +280,7 @@ def test_perf_contraction_sweep():
 
 def test_state_value_definition():
     # Simultaneous play: the adversary answers the mixture, not each action.
-    pi = MixedPolicy.uniform(2, 2)
+    pi = policies.uniform(2, 2)
     q = np.array([[[1.0, 0.0], [0.0, 1.0]], [[2.0, 4.0], [6.0, 0.0]]])
     # The per-action form, sum over u of min over a, would give [0.0, 1.0].
     assert perf.state_value(q, pi).tolist() == [0.5, 2.0]
