@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -221,8 +222,9 @@ def _generate(generator, params) -> GameSpec:
 
 def _require_positive(args, *names) -> None:
     for name in names:
-        if not getattr(args, name) > 0:
-            raise SchemaError(f"--{name.replace('_', '-')} must be positive")
+        if not 0 < getattr(args, name) < np.inf:
+            raise SchemaError(f"--{name.replace('_', '-')} must be positive "
+                              "and finite")
 
 
 def _resolve_game(args) -> Tuple[GameSpec, Optional[Tuple[int, int]]]:
@@ -391,6 +393,10 @@ def build_parser(config=None) -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process: a parser's reference cycles wait for a GC pass.
+_default_parser = functools.cache(build_parser)
+
+
 def _load_config(argv):
     """Pre-scan for --config so its entries can seed the parser defaults."""
     argv = list(sys.argv[1:] if argv is None else argv)
@@ -411,7 +417,9 @@ def _load_config(argv):
 
 def main(argv=None) -> int:
     try:
-        args = build_parser(_load_config(argv)).parse_args(argv)
+        config = _load_config(argv)
+        parser = build_parser(config) if config else _default_parser()
+        args = parser.parse_args(argv)
         return args.func(args)
     except (SchemaError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

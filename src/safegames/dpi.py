@@ -33,8 +33,8 @@ so ``tol`` bounds the returned table's residual.
 The matrix games model simultaneous play: the adversary responds to the
 policy mixture rather than to the realized action.  On member states the
 restricted game's fixed point is the constrained fixed point of
-``perf.constrained_backup``, whose residual on the returned table the trace
-reports.
+``perf.constrained_backup``; the trace reports its residual on the returned
+table from the last batch, whose member games are the backup's.
 """
 
 from __future__ import annotations
@@ -176,7 +176,9 @@ def run(spec: GameSpec, cfg: DpiConfig = DpiConfig(),
         raise InfeasibleGame(
             "no state admits persistent safety: "
             "the returned invariant set is empty")
-    trace.final_constrained_residual = perf.constrained_residual(q, spec, inv)
+    change = np.abs(spec.reward + spec.gamma * values[spec.transition] - q)
+    trace.final_constrained_residual = float(change.max(
+        where=(inv.member[:, None] & inv.admissible)[:, :, None], initial=0.0))
 
     return DpiResult(pi=MixedPolicy(s), pi_h=pi_h, q=q, q_h=q_h, trace=trace,
                      invariant_set=inv)

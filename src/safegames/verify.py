@@ -23,6 +23,7 @@ from .errors import NonMemberSuccessor
 from .game import ADVERSARY, PROTAGONIST, DetPolicy, GameSpec, MixedPolicy
 
 _FLOAT_SLACK = 1e-12
+_BLOCK = 16  # pairs per union game of the operator checks; bounds memory
 
 
 @dataclass(frozen=True)
@@ -37,45 +38,65 @@ def _random_mixed(rng, n_states, n_actions):
     return MixedPolicy(prob / prob.sum(axis=1, keepdims=True))
 
 
-def _operators(spec: GameSpec, rng):
-    """Every engine backup as ``(q -> T(q), discount)``, on one random draw
-    of the policies they take."""
-    pi_h = DetPolicy(rng.integers(0, spec.n_u, spec.n_states), PROTAGONIST)
-    mu_h = DetPolicy(rng.integers(0, spec.n_a, spec.n_states), ADVERSARY)
-    pi = _random_mixed(rng, spec.n_states, spec.n_u)
-    mu = _random_mixed(rng, spec.n_states, spec.n_a)
-    return (
-        (lambda q: safety.pair_backup(q, spec, pi_h, mu_h), spec.gamma_h),
-        (lambda q: safety.policy_backup(q, spec, pi_h), spec.gamma_h),
-        (lambda q: safety.optimal_backup(q, spec), spec.gamma_h),
-        (lambda q: perf.pair_backup(q, spec, pi, mu), spec.gamma),
-        (lambda q: perf.policy_backup(q, spec, pi), spec.gamma),
-        (lambda q: perf.minimax_policy_backup(q, spec, pi), spec.gamma),
-    )
+def _block(spec: GameSpec, copies: int, rng, spread):
+    """One game of ``copies`` disjoint copies of ``spec`` (copy b on states
+    b*n .. (b+1)*n - 1), then q ~ U(-2, 2), d ~ U(``spread``), pi_h, mu_h,
+    pi and mu on it, each drawn in one rng call for all copies."""
+    n, n_u, n_a = spec.shape
+    offset = n * np.arange(copies)[:, None, None, None]
+    union = GameSpec(
+        n * copies, n_u, n_a, (spec.transition + offset).reshape(-1, n_u, n_a),
+        np.tile(spec.reward, (copies, 1, 1)), np.tile(spec.constraint, copies),
+        spec.gamma, spec.gamma_h)
+    return (union, rng.uniform(-2.0, 2.0, union.shape),
+            rng.uniform(*spread, union.shape),
+            DetPolicy(rng.integers(0, n_u, n * copies), PROTAGONIST),
+            DetPolicy(rng.integers(0, n_a, n * copies), ADVERSARY),
+            _random_mixed(rng, n * copies, n_u),
+            _random_mixed(rng, n * copies, n_a))
+
+
+def _pair_excess(spec, union, q, d, pi_h, mu_h, pi, mu, excess):
+    """Each pair's ``excess(op, gamma, q, d, peak)`` for every engine backup
+    (looked up in its module at call time) in a block of ``_block``, as a
+    (pairs, operators) array; ``peak`` takes a table to each copy's max."""
+    def peak(table):
+        return table.reshape(-1, spec.reward.size).max(axis=1)
+    return np.stack([excess(op, gamma, q, d, peak) for op, gamma in (
+        (lambda q: safety.pair_backup(q, union, pi_h, mu_h), union.gamma_h),
+        (lambda q: safety.policy_backup(q, union, pi_h), union.gamma_h),
+        (lambda q: safety.optimal_backup(q, union), union.gamma_h),
+        (lambda q: perf.pair_backup(q, union, pi, mu), union.gamma),
+        (lambda q: perf.policy_backup(q, union, pi), union.gamma),
+        (lambda q: perf.minimax_policy_backup(q, union, pi), union.gamma),
+    )], axis=1)
 
 
 def _operator_check(spec: GameSpec, pairs: int, seed: int, spread, excess):
-    """Worst ``excess(op, gamma, q, d)`` and the count above float slack,
-    over ``pairs`` draws of q ~ U(-2, 2) and d ~ U(``spread``), each with a
-    fresh draw of the operators; also returns the operator count."""
+    """Worst excess, count of pair-operator excesses above float slack and
+    operator count over ``pairs`` draws, ``_BLOCK`` pairs to a block."""
     rng = np.random.default_rng(seed)
-    worst, violations, ops = -np.inf, 0, ()
-    for _ in range(pairs):
-        q = rng.uniform(-2.0, 2.0, spec.shape)
-        d = rng.uniform(*spread, spec.shape)
-        ops = _operators(spec, rng)
-        for op, gamma in ops:
-            e = excess(op, gamma, q, d)
-            worst = max(worst, e)
-            violations += bool(e > _FLOAT_SLACK)
-    return worst, violations, len(ops)
+    worst, violations, n_ops = -np.inf, 0, 0
+    for start in range(0, pairs, _BLOCK):
+        e = _pair_excess(spec, *_block(spec, min(_BLOCK, pairs - start), rng,
+                                       spread), excess)
+        worst, n_ops = max(worst, float(e.max())), e.shape[1]
+        violations += int((e > _FLOAT_SLACK).sum())
+    return worst, violations, n_ops
+
+
+def _contraction_excess(op, gamma, q1, q2, peak):
+    return peak(np.abs(op(q1) - op(q2))) - gamma * peak(np.abs(q1 - q2))
+
+
+def _monotonicity_drop(op, _gamma, q, d, peak):
+    return peak(op(q - d) - op(q))
 
 
 def contraction_check(spec: GameSpec, pairs: int = 200, seed: int = 0) -> PropertyResult:
     """Every backup shrinks sup-norm distances by its discount factor."""
     worst, violations, n_ops = _operator_check(
-        spec, pairs, seed, (-2.0, 2.0), lambda op, gamma, q1, q2:
-        np.abs(op(q1) - op(q2)).max() - gamma * np.abs(q1 - q2).max())
+        spec, pairs, seed, (-2.0, 2.0), _contraction_excess)
     return PropertyResult(
         "operator_contraction", violations == 0,
         f"{pairs} pairs x {n_ops} operators, worst excess {worst:.2e}")
@@ -84,8 +105,7 @@ def contraction_check(spec: GameSpec, pairs: int = 200, seed: int = 0) -> Proper
 def monotonicity_check(spec: GameSpec, pairs: int = 200, seed: int = 0) -> PropertyResult:
     """q >= q' pointwise implies T(q) >= T(q') pointwise for every backup."""
     worst, violations, n_ops = _operator_check(
-        spec, pairs, seed, (0.0, 1.0),
-        lambda op, _gamma, q, d: (op(q - d) - op(q)).max())
+        spec, pairs, seed, (0.0, 1.0), _monotonicity_drop)
     return PropertyResult(
         "operator_monotonicity", violations == 0,
         f"{pairs} ordered pairs x {n_ops} operators, worst drop {worst:.2e}")

@@ -456,7 +456,11 @@ def test_gamma_overrides(tmp_path):
     ["solve", "--random", "--tol", "0"],
     ["solve", "--random", "--max-iter", "0"],
     ["solve", "--random", "--max-iter", "-1"],
+    ["solve", "--random", "--tol", "inf"],
+    ["solve", "--random", "--tol", "nan"],
     ["verify", "--random", "--tol", "-1"],
+    ["verify", "--random", "--states", "4", "--pairs", "3", "--tol", "inf"],
+    ["verify", "--random", "--tol", "nan"],
     ["sweep", "--random", "--gammas", "abc"],
     ["sweep", "--random", "--gammas", "1.5"],
 ], ids=lambda argv: " ".join(argv))
@@ -505,3 +509,64 @@ def test_lp_numerical_failure_exits_1_without_traceback(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: numerical failure: ")
     assert "certificate gap" in err and "Traceback" not in err
+
+
+_SWEEP = ["sweep", "--random", "--nu", "2", "--na", "2", "--gammas", "0.9"]
+
+
+@pytest.fixture
+def parser_builds(monkeypatch):
+    """Record the config of every ``build_parser`` call that ``main`` makes
+    itself, from an empty default-parser cache."""
+    builds = []
+    build = cli.build_parser
+
+    def recording(config=None):
+        builds.append(config)
+        return build(config)
+
+    monkeypatch.setattr(cli, "build_parser", recording)
+    cli._default_parser.cache_clear()
+    yield builds
+    cli._default_parser.cache_clear()
+
+
+def _swept_states(capsys):
+    rows = capsys.readouterr().out.splitlines()[1:]
+    return len({row.split(",")[0] for row in rows})
+
+
+def test_main_calls_share_one_parser(parser_builds, capsys):
+    assert cli.main(_SWEEP + ["--states", "4"]) == 0
+    assert _swept_states(capsys) == 4
+    assert cli.main(_SWEEP + ["--states", "5"]) == 0
+    assert _swept_states(capsys) == 5
+    info = cli._default_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert parser_builds == []
+
+
+def test_config_run_builds_its_own_parser_without_leaking(
+        tmp_path, parser_builds, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"states": 5}))
+    assert cli.main(_SWEEP) == 0
+    assert _swept_states(capsys) == 8
+    cached = cli._default_parser()
+    assert cli.main(["--config", str(config)] + _SWEEP) == 0
+    assert _swept_states(capsys) == 5
+    assert parser_builds == [{"states": 5}]
+    assert cli.main(_SWEEP) == 0
+    assert _swept_states(capsys) == 8
+    assert cli._default_parser() is cached
+    assert cli._default_parser.cache_info().misses == 1
+
+
+def test_usage_error_leaves_the_cached_parser_usable(parser_builds, capsys):
+    with pytest.raises(SystemExit) as usage:
+        cli.main(["solve", "--no-such-flag"])
+    assert usage.value.code == 2
+    assert cli.main(_SWEEP + ["--states", "4"]) == 0
+    assert _swept_states(capsys) == 4
+    info = cli._default_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from safegames import DpiConfig, NumericalFailure, dpi, matrix_game
+from safegames import DpiConfig, NumericalFailure, dpi, matrix_game, perf
 from safegames.envs import GridworldParams, gridworld
 from safegames.matrix_game import (RestrictedMatrixGame, restricted, solve,
                                    solve_all)
@@ -128,8 +128,8 @@ def test_certificate_tolerance_scales_with_the_payoffs():
 
 def _recorded_batches(spec, monkeypatch):
     """The (payoff, admissible) arguments of every ``matrix_game.solve_all``
-    call in one ``dpi.run``: each outer step's restricted games and the
-    member games of the final constrained residual."""
+    call in one ``dpi.run`` (each outer step's restricted games), then of
+    the member games in the constrained residual of its returned table."""
     calls = []
     real = matrix_game.solve_all
 
@@ -138,7 +138,8 @@ def _recorded_batches(spec, monkeypatch):
         return real(payoff, admissible)
 
     monkeypatch.setattr(matrix_game, "solve_all", record)
-    dpi.run(spec, DpiConfig())
+    result = dpi.run(spec, DpiConfig())
+    perf.constrained_residual(result.q, spec, result.invariant_set)
     monkeypatch.undo()
     return calls
 

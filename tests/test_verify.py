@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 
 from safegames import matrix_game, oracle, perf, safety, verify
 from conftest import make_random_spec
+import operator_reference
 
 
 def test_run_all_passes_on_tiny_game():
@@ -39,6 +42,79 @@ def test_operator_checks_cover_the_task_backup(monkeypatch):
                         lambda q, spec, pi: -2.0 * q)
     assert not verify.contraction_check(spec, pairs=5).passed
     assert not verify.monotonicity_check(spec, pairs=5).passed
+
+
+_CHECKS = [  # (union excess, reference excess, spread of d)
+    (verify._contraction_excess, operator_reference.contraction_excess,
+     (-2.0, 2.0)),
+    (verify._monotonicity_drop, operator_reference.monotonicity_drop,
+     (0.0, 1.0)),
+]
+
+
+@pytest.mark.parametrize("pairs", [1, 15, 16, 17, 200])
+@pytest.mark.parametrize("game", [(0, 8, 2, 2), (3, 5, 3, 2), (7, 1, 1, 1)])
+def test_union_blocks_give_each_pair_the_reference_excess(pairs, game):
+    seed, n_states, n_u, n_a = game
+    spec = make_random_spec(seed, n_states=n_states, n_u=n_u, n_a=n_a)
+    for union_excess, reference_excess, spread in _CHECKS:
+        rng = np.random.default_rng(seed)
+        blocks = [verify._block(spec, min(verify._BLOCK, pairs - start), rng,
+                                spread)
+                  for start in range(0, pairs, verify._BLOCK)]
+        assert [b[0].n_states for b in blocks[:-1]] == (
+            [verify._BLOCK * n_states] * (len(blocks) - 1))
+        union = np.concatenate([verify._pair_excess(spec, *b, union_excess)
+                                for b in blocks])
+        reference = np.concatenate([
+            operator_reference.pair_excesses(spec, q, d, policies,
+                                             reference_excess)
+            for _, q, d, *policies in blocks])
+        assert reference.shape == (pairs, 6)
+        assert np.array_equal(union, reference)
+        worst, violations, n_ops = verify._operator_check(
+            spec, pairs, seed, spread, union_excess)
+        assert worst == reference.max() and n_ops == 6
+        assert violations == int((reference > verify._FLOAT_SLACK).sum()) == 0
+
+
+def test_operator_checks_catch_a_violation_in_the_last_partial_block(
+        monkeypatch):
+    # 20 pairs are one full block of 16 and a last block of 4; only the
+    # last copy of that last block sees a broken operator.
+    spec = make_random_spec(2, n_states=4, n_u=2, n_a=2)
+    n, real = spec.n_states, perf.policy_backup
+
+    def broken(q, game, pi):
+        out = real(q, game, pi)
+        if game.n_states == 4 * n:
+            out[-n:] = -2.0 * q[-n:]  # expanding and order-reversing
+        return out
+
+    monkeypatch.setattr(perf, "policy_backup", broken)
+    assert not verify.contraction_check(spec, pairs=20).passed
+    assert not verify.monotonicity_check(spec, pairs=20).passed
+    for union_excess, _, spread in _CHECKS:
+        assert verify._operator_check(spec, 20, 0, spread,
+                                      union_excess)[1] == 1
+    assert verify.contraction_check(spec, pairs=16).passed
+    assert verify.monotonicity_check(spec, pairs=16).passed
+
+
+def test_operator_checks_peak_memory_stays_small():
+    # The union blocks trade memory for time; a larger block size shows
+    # here first (32 pairs per block peak at about 106 KB).
+    spec = make_random_spec(1, n_states=8, n_u=2, n_a=2)
+    verify.contraction_check(spec)  # numpy's first-call allocations
+    gc.collect()
+    tracemalloc.start()
+    try:
+        verify.contraction_check(spec)
+        verify.monotonicity_check(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 80_000
 
 
 def test_run_all_solves_the_max_min_table_once(monkeypatch):
