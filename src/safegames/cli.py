@@ -336,6 +336,25 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _check_config_value(action: argparse.Action, value) -> None:
+    """Reject a --config value that does not have its option's JSON type
+    (JSON true and false load as bools, which Python counts as ints)."""
+    kind = type(value)
+    if action.nargs == 0:  # a switch such as --random
+        what, ok = "true or false", kind is bool
+    elif isinstance(action, argparse._AppendAction):  # --hazard
+        what, ok = "a list of strings", kind is list and all(
+            type(item) is str for item in value)
+    elif action.type is int:
+        what, ok = "an integer", kind is int
+    elif action.type is float:
+        what, ok = "a number", kind in (int, float)
+    else:
+        what, ok = "a string", kind is str
+    if not ok:
+        raise SchemaError(f"config key {action.dest} must be {what}")
+
+
 def build_parser(config=None) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="safegames",
@@ -370,8 +389,8 @@ def build_parser(config=None) -> argparse.ArgumentParser:
                           help="check a stored safety table instead of "
                                "solving one")
     p_verify.add_argument("--tol", type=float, default=1e-10,
-                          help="residual bound of the engine's restricted "
-                               "solve and the oracle's sweep stop")
+                          help="exit bound of the dual iteration, as in "
+                               "solve, and the oracle's sweep stop")
     p_verify.set_defaults(func=cmd_verify)
 
     p_sweep = sub.add_parser("sweep", help="export exact max-min safety tables "
@@ -389,6 +408,9 @@ def build_parser(config=None) -> argparse.ArgumentParser:
         if unknown:
             raise SchemaError(f"unknown config keys: {', '.join(unknown)}")
         for p, dests in zip(subparsers, known):
+            for action in p._actions:
+                if action.dest in config:
+                    _check_config_value(action, config[action.dest])
             p.set_defaults(**{k: v for k, v in config.items() if k in dests})
     return parser
 

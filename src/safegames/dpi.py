@@ -20,15 +20,14 @@ batch for both players (``perf.restricted_games``); the row strategies are
 the task policy (a point mass on the safety action off the member set),
 and the values give the table's residual ||r + gamma * value[x'] - q||
 under the restricted backup.  The step after it is one safeguarded Newton
-step of Pollatschek and Avi-Itzhak (1969), ``perf.newton_step``, the step
-that ``verify`` also runs on a fixed restricted game through
-``perf.solve_restricted``: the pair of row and column strategies is
-evaluated from the current w, and within one restricted game, after the
-first step from w = 0, the safeguard accepts a step only when it contracts
-the residual by gamma.  A step whose safety rounds switched actions
-starts a new restricted game and is taken in full.  The loop exits once a
-step's safety rounds switch nothing and the residual is at most ``tol``,
-so ``tol`` bounds the returned table's residual.
+step of Pollatschek and Avi-Itzhak (1969), ``perf.newton_step``: the pair
+of row and column strategies is evaluated from the current w, and within
+one restricted game, after the first step from w = 0, the safeguard
+accepts a step only when it contracts the residual by gamma.  A step whose
+safety rounds switched actions starts a new restricted game and is taken
+in full.  The loop exits once a step's safety rounds switch nothing and the
+residual is at most ``tol``, so ``tol`` bounds the returned table's
+residual; ``verify`` certifies that table against the Shapley oracle.
 
 The matrix games model simultaneous play: the adversary responds to the
 policy mixture rather than to the realized action.  On member states the
@@ -118,8 +117,8 @@ def run(spec: GameSpec, cfg: DpiConfig = DpiConfig(),
     """
     if cfg.m < 1 or cfg.n < 1:
         raise ValueError("m and n must be at least 1")
-    if cfg.tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < cfg.tol < np.inf:
+        raise ValueError("tol must be positive and finite")
 
     pi_h = DetPolicy.constant(spec.n_states, 0, PROTAGONIST)
     res_h = safety.solve(spec, safety.policy_backup, pi_h, max_iter=max_iter)

@@ -19,8 +19,7 @@ is r + gamma * w[x'] for a state vector w.  ``restricted_games`` solves its
 matrix games on such a table in one LP batch, ``evaluate_pair`` gives the
 state values of the batch's pair of mixed strategies, and ``newton_step``
 turns them into one safeguarded Newton step.  The dual iteration takes one
-such step per outer step; ``solve_restricted`` steps on a fixed mask to the
-fixed point, for ``verify``.
+such step per outer step.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from typing import NamedTuple, Tuple
 import numpy as np
 
 from . import matrix_game
-from .errors import MaxIterExceeded, NonMemberSuccessor
+from .errors import NonMemberSuccessor
 from .game import GameSpec, MixedPolicy
 from .safety import InvariantSet, fixed_point
 
@@ -178,36 +177,6 @@ def newton_step(spec: GameSpec, rows: np.ndarray, w: np.ndarray,
             return trial, length, result
         length /= 2
     return games.values, 0.0, restricted_games(spec, games.values, rows)
-
-
-def solve_restricted(spec: GameSpec, rows: np.ndarray, tol: float,
-                     max_iter: int) -> Tuple[RestrictedGames, int]:
-    """Fixed point of the restricted game ``rows`` (every state needs a
-    row) by ``newton_step`` from w = 0, the first step taken in full.
-
-    Steps stop once the residual is at most ``tol``, or once rounding
-    stalls them: a step that falls back to the restricted backup without
-    lowering the residual below the last step's is not taken.  Raises
-    MaxIterExceeded after ``max_iter`` steps, which is also the budget of
-    each pair evaluation's sweeps.  Returns the last step's games and the
-    number of steps taken.
-    """
-    w = np.zeros(spec.n_states)
-    games = restricted_games(spec, w, rows)
-    steps = 0
-    while games.residual > tol:
-        if steps == max_iter:
-            raise MaxIterExceeded(
-                f"restricted game residual {games.residual:.3e} after "
-                f"{max_iter} Newton steps",
-                residual=games.residual, iterations=max_iter)
-        nxt, length, trial = newton_step(spec, rows, w, games, tol, max_iter,
-                                         first=not steps, checked=bool(steps))
-        if not length and trial.residual >= games.residual:
-            break
-        w, games = nxt, trial
-        steps += 1
-    return games, steps
 
 
 def state_value(q: np.ndarray, pi: MixedPolicy) -> np.ndarray:

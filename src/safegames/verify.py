@@ -5,10 +5,10 @@ command drives.  Every safety table comes from the exact solve
 (``safety.solve``).  The set checks share one max-min safety solve at the
 game's gamma_h.  Sign certification compares its member set with the exact
 viability kernel of the undiscounted game (``oracle.viability_kernel``).
-Induced agreement takes the engine's table from the dual iteration's Newton
-steps on the restricted game (``perf.solve_restricted``) and the oracle's
-from Shapley iteration, and accepts a gap that both tables' certified
-distances to the fixed point explain.
+Induced agreement takes the engine's table from the dual iteration
+(``dpi.run``, as ``solve`` runs it) and the oracle's from Shapley iteration
+on the dual iteration's invariant set, and accepts a gap that both tables'
+certified distances to the fixed point explain.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from . import oracle, perf, safety
-from .errors import NonMemberSuccessor
+from . import dpi, oracle, perf, safety
+from .errors import InfeasibleGame
 from .game import ADVERSARY, PROTAGONIST, DetPolicy, GameSpec, MixedPolicy
 
 _FLOAT_SLACK = 1e-12
@@ -148,30 +148,24 @@ def forward_invariance_check(spec: GameSpec,
         f"{explored} transitions explored, {len(violations)} exits")
 
 
-def induced_agreement_check(spec: GameSpec, inv: safety.InvariantSet,
-                            tol: float = 1e-10,
+def induced_agreement_check(spec: GameSpec, tol: float = 1e-10,
                             atol: float = 1e-7) -> PropertyResult:
-    """Constrained fixed point must match the standalone induced-game solve;
-    a member set that an admissible action leaves fails, naming the exit.
+    """The task table ``solve`` ships must match the standalone induced-game
+    solve on the member cells of its invariant set.
 
-    The engine table is the restricted game's fixed point by Newton steps
-    (``perf.solve_restricted``), with member states on their admissible
-    rows and every other state on row 0, which no member value depends on
-    once the set is closed.  One constrained backup of each table gives its
-    residual rho on member cells, and the gamma-contraction puts a table
-    within rho / (1 - gamma) of the fixed point, so the tables agree when
-    their gap is at most max(atol, (rho_engine + rho_oracle) / (1 - gamma)).
+    The engine table is ``dpi.run``'s, with ``solve``'s defaults and exit
+    bound ``tol``; its trace gives the table's constrained residual rho.
+    One constrained backup of the oracle's table gives the oracle's rho,
+    and the gamma-contraction puts a table within rho / (1 - gamma) of the
+    fixed point, so the tables agree when their gap is at most
+    max(atol, (rho_engine + rho_oracle) / (1 - gamma)).
     """
-    if not inv.member.any():
-        return PropertyResult("induced_agreement", True, "no member states")
-    rows = inv.admissible & inv.member[:, None]
-    rows[~inv.member, 0] = True
-    engine, steps = perf.solve_restricted(spec, rows, tol,
-                                          safety.DEFAULT_MAX_ITER)
     try:
-        rho_engine = perf.constrained_residual(engine.q, spec, inv)
-    except NonMemberSuccessor as exc:
-        return PropertyResult("induced_agreement", False, str(exc))
+        engine = dpi.run(spec, dpi.DpiConfig(tol=tol))
+    except InfeasibleGame:
+        return PropertyResult("induced_agreement", True, "no member states")
+    inv = engine.invariant_set
+    rho_engine = engine.trace.final_constrained_residual
     independent = oracle.solve_induced_game(spec, inv, tol)
     rho_oracle = perf.constrained_residual(independent, spec, inv)
     bound = max(atol, (rho_engine + rho_oracle) / (1.0 - spec.gamma))
@@ -181,8 +175,8 @@ def induced_agreement_check(spec: GameSpec, inv: safety.InvariantSet,
     return PropertyResult(
         "induced_agreement", gap <= bound,
         f"max member-cell gap {gap:.2e} (tolerance {bound:.2e}); engine "
-        f"{steps} Newton steps, residual {rho_engine:.2e}; oracle residual "
-        f"{rho_oracle:.2e}")
+        f"{len(engine.trace.steps)} outer steps, residual {rho_engine:.2e}; "
+        f"oracle residual {rho_oracle:.2e}")
 
 
 def run_all(spec: GameSpec, pairs: int = 200, seed: int = 0,
@@ -200,5 +194,5 @@ def run_all(spec: GameSpec, pairs: int = 200, seed: int = 0,
         set_inclusion_check(spec, optimal, seed=seed),
         sign_certification_check(spec, certified),
         forward_invariance_check(spec, optimal),
-        induced_agreement_check(spec, optimal, tol),
+        induced_agreement_check(spec, tol),
     ]

@@ -381,6 +381,38 @@ def test_config_rejects_keys_no_command_knows(tmp_path, capsys):
                      "--out", str(tmp_path / "b")]) == 0
 
 
+@pytest.mark.parametrize("entry, command, what", [
+    ({"tol": None}, "solve", "tol must be a number"),
+    ({"tol": "1e-10"}, "verify", "tol must be a number"),
+    ({"m": 2.5}, "solve", "m must be an integer"),
+    ({"m": True}, "solve", "m must be an integer"),
+    ({"seed": "3"}, "verify", "seed must be an integer"),
+    ({"gammas": 5}, "sweep", "gammas must be a string"),
+    ({"random": 1}, "sweep", "random must be true or false"),
+    ({"hazard": "1,1"}, "solve", "hazard must be a list of strings"),
+    ({"hazard": [[1, 1]]}, "solve", "hazard must be a list of strings"),
+])
+def test_config_value_of_the_wrong_type_is_a_schema_error(
+        tmp_path, capsys, entry, command, what):
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps(entry))
+    argv = ["--config", str(config), command, "--grid", "4x4"]
+    if command == "solve":
+        argv += ["--out", str(tmp_path / "o")]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"error: config key {what}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_values_of_the_right_type_run(tmp_path, capsys):
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps({"m": 5, "tol": 1, "random": False,
+                                  "hazard": ["0,0"], "gammas": "0.9"}))
+    assert cli.main(["--config", str(config), "solve", "--grid", "4x4",
+                     "--out", str(tmp_path / "o")]) == 0
+    assert "15/16 member states" in capsys.readouterr().err
+
+
 def test_solve_warns_when_outer_budget_runs_out(tmp_path, capsys):
     assert cli.main(["solve", "--random", "--seed", "2", "--m", "1",
                      "--out", str(tmp_path / "a")]) == 0

@@ -217,3 +217,8 @@ def test_config_validation(g1):
         dpi.run(g1, DpiConfig(n=0))
     with pytest.raises(ValueError):
         dpi.run(g1, DpiConfig(tol=0.0))
+    # a non-finite tol would exit at once (inf) or never (nan)
+    spec = make_random_spec(1, n_states=8, n_u=2, n_a=2)
+    for tol in (np.inf, np.nan):
+        with pytest.raises(ValueError):
+            dpi.run(spec, DpiConfig(tol=tol))

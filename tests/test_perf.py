@@ -1,10 +1,7 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
-from safegames import (DpiConfig, MaxIterExceeded, MixedPolicy,
-                       NonMemberSuccessor)
+from safegames import DpiConfig, MixedPolicy, NonMemberSuccessor
 from safegames import dpi, perf, safety
 from safegames.safety import InvariantSet
 from conftest import make_random_spec
@@ -146,59 +143,6 @@ def test_constrained_idempotent_on_member_cells():
                             & inv.admissible[:, :, None], spec.shape)
     assert np.abs((first - second)[cells]).max() <= 1e-9
 
-
-
-def _verify_rows(inv):
-    """Admissible rows on member states, row 0 everywhere else."""
-    rows = inv.admissible & inv.member[:, None]
-    rows[~inv.member, 0] = True
-    return rows
-
-
-def test_restricted_solve_g2(g2_rewarded):
-    inv = safety.extract_invariant_set(
-        safety.solve(g2_rewarded, safety.optimal_backup).q, g2_rewarded)
-    games, steps = perf.solve_restricted(g2_rewarded, _verify_rows(inv),
-                                         1e-12, safety.DEFAULT_MAX_ITER)
-    assert games.q[0, 0, 0] == pytest.approx(1.0 / (1.0 - g2_rewarded.gamma),
-                                             abs=1e-9)
-    assert games.residual <= 1e-12 and steps >= 1
-    assert games.row[0].tolist() == [1.0, 0.0]
-
-
-def test_restricted_solve_matches_value_iteration():
-    for seed in (3, 4):
-        spec = make_random_spec(seed, n_states=6, n_u=2, n_a=2)
-        inv = safety.extract_invariant_set(
-            safety.solve(spec, safety.optimal_backup).q, spec)
-        assert inv.member.any()
-        games, _ = perf.solve_restricted(spec, _verify_rows(inv), 1e-11,
-                                         safety.DEFAULT_MAX_ITER)
-        assert perf.constrained_residual(games.q, spec, inv) <= 1e-11
-        reference = value_iteration.solve(spec, perf.constrained_backup, inv,
-                                          tol=1e-11).q
-        cells = np.broadcast_to(inv.member[:, None, None]
-                                & inv.admissible[:, :, None], spec.shape)
-        assert np.abs((games.q - reference)[cells]).max() <= 1e-8
-
-
-def test_restricted_solve_budget_and_rounding_stall():
-    spec = make_random_spec(1, n_states=8, n_u=2, n_a=2)
-    inv = safety.extract_invariant_set(
-        safety.solve(spec, safety.optimal_backup).q, spec)
-    rows = _verify_rows(inv)
-    # one budget bounds the steps and each pair evaluation's sweeps
-    with pytest.raises(MaxIterExceeded) as err:
-        perf.solve_restricted(spec, rows, 1e-10, 1)
-    assert err.value.iterations == 1 and err.value.residual > 1e-10
-    # At rewards of order 1e8 the values' rounding exceeds 1e-10: the steps
-    # stop where the fallback backup no longer lowers the residual, well
-    # inside the budget and within a few ulps of the values.
-    big = dataclasses.replace(spec, reward=1e8 * spec.reward)
-    games, steps = perf.solve_restricted(big, rows, 1e-10,
-                                         safety.DEFAULT_MAX_ITER)
-    assert 1e-10 < games.residual <= 1e-14 * np.abs(games.q).max()
-    assert steps <= 20
 
 def test_constrained_leaves_nonmember_rows_untouched(g2_rewarded):
     inv = safety.extract_invariant_set(

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from safegames import (DpiConfig, GameSpec, InfeasibleGame, dpi, matrix_game,
-                       oracle, perf, safety)
+                       oracle, perf, safety, verify)
 from lp_oracle import solve_support_enumeration
 import value_iteration
 
@@ -123,24 +123,9 @@ def test_constrained_fixed_point_matches_the_induced_game(spec):
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=30)
 @given(games(rewarded=True))
-def test_restricted_solve_matches_the_induced_game(spec):
-    inv = _max_min_set(spec)
-    rows = inv.admissible & inv.member[:, None]
-    rows[~inv.member, 0] = True
-    engine, _ = perf.solve_restricted(spec, rows, 1e-10,
-                                      safety.DEFAULT_MAX_ITER)
-    # rewards in [-1, 1] keep the values' rounding far below tol, so the
-    # steps never stall before it
-    assert engine.residual <= 1e-10
-    cells = np.broadcast_to(inv.member[:, None, None]
-                            & inv.admissible[:, :, None], spec.shape)
-    independent = oracle.solve_induced_game(spec, inv, tol=1e-10)
-    assert np.abs(engine.q - independent)[cells].max(initial=0.0) <= 1e-7
-
-
-@settings(derandomize=True, database=None, deadline=None, max_examples=30)
-@given(games(rewarded=True))
 def test_dual_iteration_matches_the_induced_game(spec):
+    check = verify.induced_agreement_check(spec)
+    assert check.passed, check.detail
     cfg = DpiConfig()
     try:
         result = dpi.run(spec, cfg)

@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from safegames import matrix_game, oracle, perf, safety, verify
+from safegames import dpi, matrix_game, oracle, perf, safety, verify
 from conftest import make_random_spec
 import operator_reference
 
@@ -143,17 +143,6 @@ def test_sign_certification_rejects_corrupted_table():
     assert not result.passed
 
 
-def test_induced_agreement_fails_on_a_set_with_an_exit(chain):
-    # The chain's sign test alone keeps state 0, whose only action leads to
-    # state 1 outside the set.
-    stale = safety.InvariantSet(member=np.array([True] + [False] * 4),
-                                admissible=np.array([[True]] + [[False]] * 4))
-    result = verify.induced_agreement_check(chain, stale)
-    assert not result.passed
-    assert result.detail == ("admissible action 0 at member state 0 reaches "
-                             "non-member state 1")
-
-
 def test_infeasible_game_checks_still_run(g3):
     results = verify.run_all(g3, pairs=20, seed=1)
     assert all(r.passed for r in results)
@@ -163,22 +152,23 @@ def test_infeasible_game_checks_still_run(g3):
 
 def _count_batches(monkeypatch):
     """Count ``matrix_game.solve_all`` calls, in all and inside the engine
-    side's restricted solve; returns the counter and the engine's counts."""
+    side's dual iteration; returns the counter and the engine's counts."""
     calls, engine = Counter(), []
-    solve_all, solve_restricted = matrix_game.solve_all, perf.solve_restricted
+    solve_all, run = matrix_game.solve_all, dpi.run
 
     def counting(*args):
         calls["solve_all"] += 1
         return solve_all(*args)
 
-    def restricted(*args):
+    def dual_iteration(*args, **kwargs):
         before = calls["solve_all"]
-        result = solve_restricted(*args)
-        engine.append(calls["solve_all"] - before)
-        return result
+        try:
+            return run(*args, **kwargs)
+        finally:
+            engine.append(calls["solve_all"] - before)
 
     monkeypatch.setattr(matrix_game, "solve_all", counting)
-    monkeypatch.setattr(perf, "solve_restricted", restricted)
+    monkeypatch.setattr(dpi, "run", dual_iteration)
     return calls, engine
 
 
@@ -189,31 +179,48 @@ def test_induced_agreement_engine_takes_few_lp_batches(monkeypatch):
     checked = 0
     for seed in range(12):
         spec = make_random_spec(seed, n_states=8, n_u=2, n_a=2)
-        inv = safety.extract_invariant_set(
-            safety.solve(spec, safety.optimal_backup).q, spec)
-        if not inv.member.any():
-            continue
         engine.clear()
-        result = verify.induced_agreement_check(spec, inv)
+        result = verify.induced_agreement_check(spec)
         assert result.passed, result.detail
-        assert len(engine) == 1 and engine[0] <= 20, (seed, engine)
-        assert "Newton steps" in result.detail
+        assert len(engine) == 1, (seed, engine)
+        if result.detail == "no member states":
+            continue
+        assert engine[0] <= 20, (seed, engine)
+        assert "outer steps" in result.detail
         checked += 1
     assert checked >= 5
+
+
+def test_induced_agreement_checks_the_table_solve_ships(monkeypatch):
+    spec = make_random_spec(1, n_states=8, n_u=2, n_a=2)
+    run = dpi.run
+    assert verify.induced_agreement_check(spec).passed
+
+    def off_by_a_little(*args, **kwargs):
+        result = run(*args, **kwargs)
+        inv = result.invariant_set
+        x = int(np.flatnonzero(inv.member)[0])
+        u = int(np.flatnonzero(inv.admissible[x])[0])
+        q = result.q.copy()
+        q[x, u, 0] += 1e-3
+        return dataclasses.replace(result, q=q)
+
+    monkeypatch.setattr(dpi, "run", off_by_a_little)
+    result = verify.induced_agreement_check(spec)
+    assert not result.passed
+    assert result.detail.startswith("max member-cell gap 1.00e-03")
 
 
 @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6, 1e8])
 def test_induced_agreement_passes_at_every_reward_scale(monkeypatch, scale):
     # From 1e6 up the values' rounding alone keeps the two tables more than
-    # 1e-7 apart, and at 1e8 the absolute tol lies below it: both solves
-    # stop where rounding stalls them, and the tolerance follows their
-    # residuals.
+    # 1e-7 apart, and from 1e5 up the absolute tol lies below it: the dual
+    # iteration runs out its step budget and the oracle stops where
+    # rounding stalls it, and the tolerance follows their residuals.
     base = make_random_spec(1, n_states=8, n_u=2, n_a=2)
-    inv = safety.extract_invariant_set(
-        safety.solve(base, safety.optimal_backup).q, base)
     spec = dataclasses.replace(base, reward=scale * base.reward)
     calls, _ = _count_batches(monkeypatch)
-    result = verify.induced_agreement_check(spec, inv)
+    result = verify.induced_agreement_check(spec)
     assert result.passed, result.detail
     # within seconds: at 1e8 value iteration without the stall stops runs
     # out budgets of 200,000 (engine) and 100,000 (oracle) LP batches

@@ -1,9 +1,9 @@
 """Value iteration of a task-side backup: the tests' reference fixed point.
 
-This is the task-side solve the package used before ``perf.solve_restricted``
+This is the task-side solve the package used before the dual iteration
 took the restricted game's fixed point by Newton steps.  The tests keep it
 to pin the backups of ``perf`` against closed forms and against the oracle,
-and as the from-scratch reference for the engines' task tables.
+and as the from-scratch reference for ``dpi.run``'s task tables.
 """
 
 import numpy as np
