@@ -7,8 +7,7 @@ from .errors import (BudgetExceeded, InfeasibleGame, MaxIterExceeded,
 from .game import (ADVERSARY, PROTAGONIST, DetPolicy, GameSpec, MixedPolicy,
                    ValidationReport, validate)
 from .safety import FixedPointResult, InvariantSet
-from .matrix_game import MatrixGameSolution, RestrictedMatrixGame
-from .dpi import ConvergenceReport, DpiConfig, DpiResult, DpiTrace
+from .dpi import DpiConfig, DpiResult, DpiTrace
 from .envs import GridworldParams, RandomGameParams, gridworld, random_game
 
 __all__ = [
@@ -17,7 +16,6 @@ __all__ = [
     "NonMemberSuccessor", "NumericalFailure",
     "DetPolicy", "GameSpec", "MixedPolicy", "ValidationReport", "validate",
     "FixedPointResult", "InvariantSet",
-    "MatrixGameSolution", "RestrictedMatrixGame",
-    "ConvergenceReport", "DpiConfig", "DpiResult", "DpiTrace",
+    "DpiConfig", "DpiResult", "DpiTrace",
     "GridworldParams", "RandomGameParams", "gridworld", "random_game",
 ]

@@ -82,21 +82,6 @@ def load_game(path) -> Tuple[GameSpec, Optional[list]]:
     return spec, labels
 
 
-def save_game(spec: GameSpec, path, labels=None) -> None:
-    data = {
-        "n_states": spec.n_states, "n_u": spec.n_u, "n_a": spec.n_a,
-        "gamma": spec.gamma, "gamma_h": spec.gamma_h,
-        "transition": spec.transition.tolist(),
-        "reward": spec.reward.tolist(),
-        "h": spec.constraint.tolist(),
-    }
-    if labels is not None:
-        data["labels"] = list(labels)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-
-
 def _write_cells(fh, q: np.ndarray, prefix: str = "") -> None:
     """Write one CSV row per (x, u, a) cell: the indices, ``prefix`` and the
     value to 12 significant digits.  A template of one state's rows is built

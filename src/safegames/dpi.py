@@ -86,25 +86,6 @@ class DpiResult:
     invariant_set: safety.InvariantSet
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
-    converged: bool            # last safety delta and task residual <= tol
-    last_safety_delta: float
-    last_task_residual: float
-    monotone_values: bool      # safety tables pointwise non-decreasing
-    monotone_members: bool     # member counts non-decreasing
-    constrained_residual: float
-    constrained_ok: bool
-
-    @property
-    def monotone(self) -> bool:
-        return self.monotone_values and self.monotone_members
-
-    @property
-    def passed(self) -> bool:
-        return self.converged and self.monotone and self.constrained_ok
-
-
 def run(spec: GameSpec, cfg: DpiConfig = DpiConfig(),
         max_iter: int = safety.DEFAULT_MAX_ITER) -> DpiResult:
     """Run the dual iteration and return the final artifacts plus the trace.
@@ -181,25 +162,3 @@ def run(spec: GameSpec, cfg: DpiConfig = DpiConfig(),
 
     return DpiResult(pi=MixedPolicy(s), pi_h=pi_h, q=q, q_h=q_h, trace=trace,
                      invariant_set=inv)
-
-
-def check_convergence(trace: DpiTrace, tol: float) -> ConvergenceReport:
-    """Audit a trace: convergence of the last step, monotonicity of the
-    safety tables and member counts, and the terminal constrained
-    fixed-point residual."""
-    if not trace.steps:
-        raise ValueError("trace is empty")
-    last = trace.steps[-1]
-    monotone_values = all(s.safety_decrease <= tol for s in trace.steps)
-    monotone_members = all(cur.member_count >= prev.member_count
-                           for prev, cur in zip(trace.steps, trace.steps[1:]))
-    residual = trace.final_constrained_residual
-    return ConvergenceReport(
-        converged=bool(last.safety_delta <= tol and last.task_residual <= tol),
-        last_safety_delta=last.safety_delta,
-        last_task_residual=last.task_residual,
-        monotone_values=monotone_values,
-        monotone_members=monotone_members,
-        constrained_residual=residual,
-        constrained_ok=bool(np.isnan(residual) or residual <= tol),
-    )

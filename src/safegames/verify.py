@@ -1,14 +1,14 @@
 """Property checks pitting the discounted engines against the oracles.
 
 Each check returns a PropertyResult; ``run_all`` is what the ``verify``
-command drives.  Every safety table comes from the exact solve
-(``safety.solve``).  The set checks share one max-min safety solve at the
-game's gamma_h.  Sign certification compares its member set with the exact
-viability kernel of the undiscounted game (``oracle.viability_kernel``).
-Induced agreement takes the engine's table from the dual iteration
-(``dpi.run``, as ``solve`` runs it) and the oracle's from Shapley iteration
-on the dual iteration's invariant set, and accepts a gap that both tables'
-certified distances to the fixed point explain.
+command drives.  It runs the dual iteration (``dpi.run``, as ``solve``
+runs it) once, and every check after the two operator checks judges that
+one result.  Set inclusion and forward invariance take its invariant set.
+Sign certification compares that set (or the ``--qh`` table's) with the
+exact viability kernel of the undiscounted game
+(``oracle.viability_kernel``).  Induced agreement takes its task table and
+the oracle's from Shapley iteration on its invariant set, and accepts a
+gap that both tables' certified distances to the fixed point explain.
 """
 
 from __future__ import annotations
@@ -148,51 +148,59 @@ def forward_invariance_check(spec: GameSpec,
         f"{explored} transitions explored, {len(violations)} exits")
 
 
-def induced_agreement_check(spec: GameSpec, tol: float = 1e-10,
+def induced_agreement_check(spec: GameSpec,
+                            engine: Optional[dpi.DpiResult],
+                            tol: float = 1e-10,
                             atol: float = 1e-7) -> PropertyResult:
     """The task table ``solve`` ships must match the standalone induced-game
     solve on the member cells of its invariant set.
 
-    The engine table is ``dpi.run``'s, with ``solve``'s defaults and exit
-    bound ``tol``; its trace gives the table's constrained residual rho.
-    One constrained backup of the oracle's table gives the oracle's rho,
-    and the gamma-contraction puts a table within rho / (1 - gamma) of the
-    fixed point, so the tables agree when their gap is at most
-    max(atol, (rho_engine + rho_oracle) / (1 - gamma)).
+    ``engine`` is ``dpi.run``'s result, or None when it raised
+    InfeasibleGame; its trace gives the table's constrained residual rho.
+    One constrained backup of the oracle's table (Shapley iteration to
+    ``tol``) gives the oracle's rho, and the gamma-contraction puts a table
+    within rho / (1 - gamma) of the fixed point, so the tables agree when
+    their gap is at most max(atol, (rho_engine + rho_oracle) / (1 - gamma)).
     """
-    try:
-        engine = dpi.run(spec, dpi.DpiConfig(tol=tol))
-    except InfeasibleGame:
+    if engine is None:
         return PropertyResult("induced_agreement", True, "no member states")
-    inv = engine.invariant_set
-    rho_engine = engine.trace.final_constrained_residual
+    inv, trace = engine.invariant_set, engine.trace
+    rho_engine = trace.final_constrained_residual
     independent = oracle.solve_induced_game(spec, inv, tol)
     rho_oracle = perf.constrained_residual(independent, spec, inv)
     bound = max(atol, (rho_engine + rho_oracle) / (1.0 - spec.gamma))
     cells = inv.member[:, None, None] & inv.admissible[:, :, None]
     gap = float(np.abs((engine.q - independent)[
         np.broadcast_to(cells, spec.shape)]).max())
+    exhausted = ", budget exhausted" if trace.budget_exhausted else ""
     return PropertyResult(
         "induced_agreement", gap <= bound,
         f"max member-cell gap {gap:.2e} (tolerance {bound:.2e}); engine "
-        f"{len(engine.trace.steps)} outer steps, residual {rho_engine:.2e}; "
-        f"oracle residual {rho_oracle:.2e}")
+        f"{len(trace.steps)} outer steps{exhausted}, residual "
+        f"{rho_engine:.2e}; oracle residual {rho_oracle:.2e}")
 
 
 def run_all(spec: GameSpec, pairs: int = 200, seed: int = 0,
             q_h: Optional[np.ndarray] = None,
             tol: float = 1e-10) -> List[PropertyResult]:
-    """Run every cross-check; the set checks share one max-min solve, and
-    sign certification checks the set of ``q_h`` instead when it is given."""
-    optimal = safety.extract_invariant_set(
-        safety.solve(spec, safety.optimal_backup).q, spec)
-    certified = (optimal if q_h is None else safety.extract_invariant_set(
+    """Run every cross-check.  After the operator checks, ``dpi.run`` with
+    ``solve``'s defaults and exit bound ``tol`` runs once; the set checks
+    take its invariant set (empty when it raises InfeasibleGame), except
+    that sign certification checks the set of ``q_h`` when it is given."""
+    operators = [contraction_check(spec, pairs, seed),
+                 monotonicity_check(spec, pairs, seed)]
+    try:
+        engine = dpi.run(spec, dpi.DpiConfig(tol=tol))
+        inv = engine.invariant_set
+    except InfeasibleGame:
+        n = spec.n_states
+        engine, inv = None, safety.InvariantSet(np.zeros(n, bool),
+                                                np.zeros((n, spec.n_u), bool))
+    certified = (inv if q_h is None else safety.extract_invariant_set(
         np.asarray(q_h, dtype=np.float64), spec))
-    return [
-        contraction_check(spec, pairs, seed),
-        monotonicity_check(spec, pairs, seed),
-        set_inclusion_check(spec, optimal, seed=seed),
+    return operators + [
+        set_inclusion_check(spec, inv, seed=seed),
         sign_certification_check(spec, certified),
-        forward_invariance_check(spec, optimal),
-        induced_agreement_check(spec, tol),
+        forward_invariance_check(spec, inv),
+        induced_agreement_check(spec, engine, tol),
     ]

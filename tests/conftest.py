@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,23 @@ def make_random_spec(seed, n_states=8, n_u=3, n_a=3, hazard_fraction=0.25,
         hazard_fraction=hazard_fraction, seed=seed,
         gamma=gamma, gamma_h=gamma_h))
 
+
+
+def save_game(spec, path, labels=None):
+    """Write ``spec`` (and optional state labels) as the game JSON that
+    ``cli.load_game`` reads, with sorted keys."""
+    data = {
+        "n_states": spec.n_states, "n_u": spec.n_u, "n_a": spec.n_a,
+        "gamma": spec.gamma, "gamma_h": spec.gamma_h,
+        "transition": spec.transition.tolist(),
+        "reward": spec.reward.tolist(),
+        "h": spec.constraint.tolist(),
+    }
+    if labels is not None:
+        data["labels"] = list(labels)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, sort_keys=True, indent=1)
+        fh.write("\n")
 
 def push_grid_hazards(size=32, n_hazards=30, seed=(0, 0)):
     """Hazard cells drawn the way the solve-grid benchmark draws them; the

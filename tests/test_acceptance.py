@@ -19,6 +19,7 @@ from safegames import (ADVERSARY, PROTAGONIST, DetPolicy, DpiConfig,
 from safegames import cli, dpi, oracle, perf, safety
 from safegames.envs import GridworldParams, RandomGameParams, gridworld, random_game
 from safegames.matrix_game import restricted, solve
+from conftest import save_game
 from lp_oracle import solve_support_enumeration
 
 FLOAT_SLACK = 1e-12
@@ -238,7 +239,7 @@ def test_criterion_9_infeasibility_handling(g3, tmp_path, capsys):
             raised += 1
 
     path = tmp_path / "g3.json"
-    cli.save_game(g3, path)
+    save_game(g3, path)
     codes = [cli.main(["solve", "--game", str(path),
                        "--out", str(tmp_path / f"o{i}")]) for i in range(2)]
     capsys.readouterr()

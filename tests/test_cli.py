@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from safegames import cli, dpi, oracle, perf, safety
-from safegames.cli import SchemaError, load_game, save_game
+from safegames.cli import SchemaError, load_game
 from safegames.envs import RandomGameParams, random_game
-from conftest import push_grid_hazards
+from conftest import push_grid_hazards, save_game
 
 
 def _write_g3(path):

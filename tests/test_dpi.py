@@ -6,17 +6,20 @@ import pytest
 from safegames import DpiConfig, InfeasibleGame, MixedPolicy
 from safegames.errors import MaxIterExceeded
 from safegames import dpi, oracle, perf, safety
-from safegames.dpi import DpiStep, DpiTrace
 from safegames.safety import InvariantSet
 from conftest import make_random_spec
 import value_iteration
 
 
-def _step(decrease=0.0, members=1, delta=0.0, residual=None):
-    return DpiStep(safety_delta=delta, safety_decrease=decrease,
-                   member_count=members,
-                   task_residual=delta if residual is None else residual,
-                   task_delta=delta, lp_values=np.full(2, np.nan))
+def _assert_settled(trace, tol=1e-8):
+    """The last step changed the safety table by at most ``tol`` and left a
+    task residual of at most ``tol``, no step lowered a safety value by more
+    than ``tol``, and the returned table's constrained residual is at most
+    ``tol``."""
+    last = trace.steps[-1]
+    assert last.safety_delta <= tol and last.task_residual <= tol
+    assert all(s.safety_decrease <= tol for s in trace.steps)
+    assert trace.final_constrained_residual <= tol
 
 
 def test_single_state_game(g1):
@@ -26,8 +29,7 @@ def test_single_state_game(g1):
     assert result.q[0, 0, 0] == pytest.approx(2.0, abs=1e-8)
     assert result.q_h[0, 0, 0] == pytest.approx(2.0, abs=1e-8)
     assert [s.member_count for s in result.trace.steps] == [1, 1]
-    report = dpi.check_convergence(result.trace, 1e-8)
-    assert report.converged and report.monotone and report.constrained_ok
+    _assert_settled(result.trace)
 
 
 def test_g2_final_policy_and_values(g2_rewarded):
@@ -40,8 +42,7 @@ def test_g2_final_policy_and_values(g2_rewarded):
     assert result.pi.prob[1, result.pi_h.action[1]] == 1.0
     assert result.invariant_set.member.tolist() == [True, False]
     assert all(s.member_count == 1 for s in result.trace.steps)
-    report = dpi.check_convergence(result.trace, 1e-8)
-    assert report.converged and report.monotone and report.constrained_ok
+    _assert_settled(result.trace)
 
 
 def test_infeasible_game_raises(g3):
@@ -177,37 +178,6 @@ def test_pair_evaluation_stops_when_rounding_stalls_it():
     with pytest.raises(MaxIterExceeded):
         perf.evaluate_pair(spec, row, column, np.zeros(6), tol=1e-10,
                            max_iter=5)
-
-
-def test_check_convergence_flags_shuffled_trace():
-    trace = DpiTrace(steps=[_step(), _step(decrease=1.0, delta=1.0)],
-                     final_constrained_residual=0.0)
-    report = dpi.check_convergence(trace, 1e-8)
-    assert not report.monotone_values
-    assert not report.converged
-
-    shrinking = DpiTrace(steps=[_step(members=2), _step(members=1)],
-                         final_constrained_residual=0.0)
-    assert not dpi.check_convergence(shrinking, 1e-8).monotone_members
-
-
-def test_check_convergence_reads_the_last_task_residual():
-    # Safety settled, but the task table is still far from its fixed point.
-    unsettled = DpiTrace(steps=[_step(), _step(residual=1.0)],
-                         final_constrained_residual=0.0)
-    report = dpi.check_convergence(unsettled, 1e-8)
-    assert report.monotone and not report.converged
-    assert report.last_task_residual == 1.0
-    # A large task delta alone (a long last step) does not block convergence.
-    settled = DpiTrace(steps=[_step(), _step(residual=0.0)],
-                       final_constrained_residual=0.0)
-    settled.steps[-1].task_delta = 1.0
-    assert dpi.check_convergence(settled, 1e-8).converged
-
-
-def test_check_convergence_rejects_empty_trace():
-    with pytest.raises(ValueError):
-        dpi.check_convergence(DpiTrace(), 1e-8)
 
 
 def test_config_validation(g1):

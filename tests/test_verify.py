@@ -6,6 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from safegames import InfeasibleGame
 from safegames import dpi, matrix_game, oracle, perf, safety, verify
 from conftest import make_random_spec
 import operator_reference
@@ -117,22 +118,59 @@ def test_operator_checks_peak_memory_stays_small():
     assert peak < 80_000
 
 
-def test_run_all_solves_the_max_min_table_once(monkeypatch):
+def test_run_all_runs_the_dual_iteration_once(monkeypatch):
+    # The set checks judge dpi.run's set; no separate max-min solve runs.
     spec = make_random_spec(2, n_states=4, n_u=2, n_a=2)
-    solve = safety.solve
-    discounts = Counter()
+    solve, run = safety.solve, dpi.run
+    calls = Counter()
 
-    def counting(game, backup, *args, **kwargs):
-        if backup is safety.optimal_backup:
-            discounts[game.gamma_h] += 1
+    def counting_solve(game, backup, *args, **kwargs):
+        calls[backup.__name__] += 1
         return solve(game, backup, *args, **kwargs)
 
-    monkeypatch.setattr(verify.safety, "solve", counting)
-    verify.run_all(spec, pairs=5)
-    assert discounts == {spec.gamma_h: 1}
-    discounts.clear()
-    verify.run_all(spec, pairs=5, q_h=np.ones(spec.shape))
-    assert discounts == {spec.gamma_h: 1}
+    def counting_run(*args, **kwargs):
+        calls["dpi.run"] += 1
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(safety, "solve", counting_solve)
+    monkeypatch.setattr(dpi, "run", counting_run)
+    for q_h in (None, np.ones(spec.shape)):
+        calls.clear()
+        verify.run_all(spec, pairs=5, q_h=q_h)
+        assert calls["dpi.run"] == 1
+        assert calls["optimal_backup"] == 0
+        assert calls["policy_backup"] > 0
+
+
+def test_set_checks_judge_the_set_dpi_run_returns(monkeypatch):
+    # One state outside the kernel, with h >= 0 and every action admissible,
+    # joins dpi.run's set: that set is no longer the kernel, and no longer
+    # closed, since the kernel is the largest closed set inside h >= 0.
+    spec = make_random_spec(1, n_states=8, n_u=2, n_a=2)
+    kernel = oracle.viability_kernel(spec)
+    x = int(np.flatnonzero(~kernel & (spec.constraint >= 0.0))[0])
+    run, engines = dpi.run, []
+
+    def one_state_more(*args, **kwargs):
+        result = run(*args, **kwargs)
+        inv = result.invariant_set
+        member, admissible = inv.member.copy(), inv.admissible.copy()
+        member[x], admissible[x] = True, True
+        return dataclasses.replace(
+            result, invariant_set=safety.InvariantSet(member, admissible))
+
+    def recording(spec, engine, *args):
+        engines.append(engine)
+        return verify.PropertyResult("induced_agreement", True, "recorded")
+
+    monkeypatch.setattr(dpi, "run", one_state_more)
+    # the Shapley oracle refuses a set with an exit
+    monkeypatch.setattr(verify, "induced_agreement_check", recording)
+    results = {r.name: r for r in verify.run_all(spec, pairs=5)}
+    assert not results["sign_certification"].passed
+    assert not results["forward_invariance"].passed
+    assert results["set_inclusion"].passed
+    assert [e.invariant_set.member[x] for e in engines] == [True]
 
 
 def test_sign_certification_rejects_corrupted_table():
@@ -148,6 +186,15 @@ def test_infeasible_game_checks_still_run(g3):
     assert all(r.passed for r in results)
     induced = [r for r in results if r.name == "induced_agreement"][0]
     assert induced.detail == "no member states"
+
+
+def _induced_agreement(spec, tol=1e-10):
+    """The check on ``dpi.run``'s result, as ``run_all`` runs it."""
+    try:
+        engine = dpi.run(spec, dpi.DpiConfig(tol=tol))
+    except InfeasibleGame:
+        engine = None
+    return verify.induced_agreement_check(spec, engine, tol)
 
 
 def _count_batches(monkeypatch):
@@ -180,7 +227,7 @@ def test_induced_agreement_engine_takes_few_lp_batches(monkeypatch):
     for seed in range(12):
         spec = make_random_spec(seed, n_states=8, n_u=2, n_a=2)
         engine.clear()
-        result = verify.induced_agreement_check(spec)
+        result = _induced_agreement(spec)
         assert result.passed, result.detail
         assert len(engine) == 1, (seed, engine)
         if result.detail == "no member states":
@@ -191,22 +238,17 @@ def test_induced_agreement_engine_takes_few_lp_batches(monkeypatch):
     assert checked >= 5
 
 
-def test_induced_agreement_checks_the_table_solve_ships(monkeypatch):
+def test_induced_agreement_checks_the_table_solve_ships():
     spec = make_random_spec(1, n_states=8, n_u=2, n_a=2)
-    run = dpi.run
-    assert verify.induced_agreement_check(spec).passed
-
-    def off_by_a_little(*args, **kwargs):
-        result = run(*args, **kwargs)
-        inv = result.invariant_set
-        x = int(np.flatnonzero(inv.member)[0])
-        u = int(np.flatnonzero(inv.admissible[x])[0])
-        q = result.q.copy()
-        q[x, u, 0] += 1e-3
-        return dataclasses.replace(result, q=q)
-
-    monkeypatch.setattr(dpi, "run", off_by_a_little)
-    result = verify.induced_agreement_check(spec)
+    result = dpi.run(spec)
+    assert verify.induced_agreement_check(spec, result).passed
+    inv = result.invariant_set
+    x = int(np.flatnonzero(inv.member)[0])
+    u = int(np.flatnonzero(inv.admissible[x])[0])
+    q = result.q.copy()
+    q[x, u, 0] += 1e-3
+    off_by_a_little = dataclasses.replace(result, q=q)
+    result = verify.induced_agreement_check(spec, off_by_a_little)
     assert not result.passed
     assert result.detail.startswith("max member-cell gap 1.00e-03")
 
@@ -220,8 +262,11 @@ def test_induced_agreement_passes_at_every_reward_scale(monkeypatch, scale):
     base = make_random_spec(1, n_states=8, n_u=2, n_a=2)
     spec = dataclasses.replace(base, reward=scale * base.reward)
     calls, _ = _count_batches(monkeypatch)
-    result = verify.induced_agreement_check(spec)
+    result = _induced_agreement(spec)
     assert result.passed, result.detail
+    exhausted = "engine 30 outer steps, budget exhausted, residual"
+    assert (exhausted in result.detail) == (scale >= 1e6), result.detail
     # within seconds: at 1e8 value iteration without the stall stops runs
     # out budgets of 200,000 (engine) and 100,000 (oracle) LP batches
     assert calls["solve_all"] <= 1_000
+
