@@ -41,10 +41,19 @@ class SchemaError(ValueError):
     pass
 
 
+def _read_json(path):
+    """Decode a JSON file; text that is not UTF-8 JSON, or nests too deep
+    to decode, is a schema error naming the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (ValueError, RecursionError) as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
+
+
 def load_game(path) -> Tuple[GameSpec, Optional[list]]:
     """Load a game spec (and optional state labels) from JSON."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = _read_json(path)
     if not isinstance(data, dict):
         raise SchemaError("top-level JSON value must be an object")
     unknown = sorted(set(data) - set(_REQUIRED_FIELDS) - set(_OPTIONAL_FIELDS))
@@ -218,6 +227,8 @@ def _resolve_game(args) -> Tuple[GameSpec, Optional[Tuple[int, int]]]:
     sources = [bool(args.game), bool(args.random), bool(args.grid)]
     if sum(sources) != 1:
         raise SchemaError("exactly one of --game, --random, --grid is required")
+    if args.seed < 0:
+        raise SchemaError("--seed must be nonnegative")
     grid_shape = None
     if args.game:
         spec, _labels = load_game(args.game)
@@ -310,8 +321,7 @@ def _parse_gammas(text: str) -> list:
 def cmd_sweep(args) -> int:
     gammas = _parse_gammas(args.gammas)
     spec, _ = _resolve_game(args)
-    tables = [(gamma_h, safety.solve(dataclasses.replace(spec, gamma_h=gamma_h),
-                                     safety.optimal_backup).q)
+    tables = [(gamma_h, safety.solve(dataclasses.replace(spec, gamma_h=gamma_h)))
               for gamma_h in gammas]
     with (open(args.out, "w", encoding="utf-8") if args.out
           else contextlib.nullcontext(sys.stdout)) as fh:
@@ -405,21 +415,21 @@ _default_parser = functools.cache(build_parser)
 
 
 def _load_config(argv):
-    """Pre-scan for --config so its entries can seed the parser defaults."""
+    """Pre-scan for --config so its entries can seed the parser defaults;
+    the last one counts, as it does for argparse."""
     argv = list(sys.argv[1:] if argv is None else argv)
+    path = None
     for i, token in enumerate(argv):
         if token == "--config" and i + 1 < len(argv):
             path = argv[i + 1]
         elif token.startswith("--config="):
             path = token.split("=", 1)[1]
-        else:
-            continue
-        with open(path, "r", encoding="utf-8") as fh:
-            config = json.load(fh)
-        if not isinstance(config, dict):
-            raise SchemaError("config file must hold a JSON object")
-        return config
-    return None
+    if path is None:
+        return None
+    config = _read_json(path)
+    if not isinstance(config, dict):
+        raise SchemaError("config file must hold a JSON object")
+    return config
 
 
 def main(argv=None) -> int:
@@ -428,7 +438,7 @@ def main(argv=None) -> int:
         parser = build_parser(config) if config else _default_parser()
         args = parser.parse_args(argv)
         return args.func(args)
-    except (SchemaError, OSError, json.JSONDecodeError) as exc:
+    except (SchemaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericalFailure as exc:

@@ -102,7 +102,7 @@ def run(spec: GameSpec, cfg: DpiConfig = DpiConfig(),
         raise ValueError("tol must be positive and finite")
 
     pi_h = DetPolicy.constant(spec.n_states, 0, PROTAGONIST)
-    res_h = safety.solve(spec, safety.policy_backup, pi_h, max_iter=max_iter)
+    q_h = safety.solve(spec, pi_h, max_iter)
     w = np.zeros(spec.n_states)
     trace = DpiTrace()
     prev_q_h = prev_q = None
@@ -110,13 +110,11 @@ def run(spec: GameSpec, cfg: DpiConfig = DpiConfig(),
     for k in range(cfg.m):
         switched = False
         for _ in range(cfg.n):
-            improved = safety.improve_policy(res_h.q, pi_h)
+            improved = safety.improve_policy(q_h, pi_h)
             if np.array_equal(improved.action, pi_h.action):
                 break
             pi_h, switched = improved, True
-            res_h = safety.solve(spec, safety.policy_backup, pi_h,
-                                 max_iter=max_iter)
-        q_h = res_h.q
+            q_h = safety.solve(spec, pi_h, max_iter)
         inv = safety.extract_invariant_set(q_h, spec)
         if k == 0 or switched:
             rows = inv.admissible.copy()

@@ -11,6 +11,7 @@ immutable and safe for concurrent reads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +57,9 @@ def validate(spec: GameSpec) -> ValidationReport:
 
     Returns a report rather than raising: callers decide whether a failing
     spec is an error.  A passing spec is accepted by every other module.
+    Its task values lie within max |reward| / (1 - gamma) of 0, so twice
+    that bound must be finite for the difference of two values, and an LP
+    payoff shifted by 1 - min, to stay finite.
     """
     errors = []
     if spec.n_states < 1:
@@ -80,6 +84,10 @@ def validate(spec: GameSpec) -> ValidationReport:
         errors.append("gamma_h out of range")
     if not np.isfinite(spec.reward).all():
         errors.append("reward contains non-finite entries")
+    elif spec.reward.size and 0.0 < spec.gamma < 1.0 and not math.isfinite(
+            2 * float(np.abs(spec.reward).max()) / (1.0 - spec.gamma)):
+        errors.append("reward scale overflows: 2 max |reward| / (1 - gamma) "
+                      "is not finite")
     if not np.isfinite(spec.constraint).all():
         errors.append("constraint contains non-finite entries")
     return ValidationReport(ok=not errors, errors=tuple(errors))

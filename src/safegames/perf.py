@@ -98,10 +98,8 @@ def evaluate_pair(spec: GameSpec, row: np.ndarray, column: np.ndarray,
 
     Each sweep is v(x) <- sum over u, a of row(x, u) * column(x, a) *
     (reward + gamma * v(x')), taken over the pair's support only.  Sweeps
-    stop once one moves v by at most ``tol``, or by no less than the sweep
-    before it: a contraction shrinks every move until rounding stalls it,
-    and the stalled sweep is not taken.  Raises MaxIterExceeded after
-    ``max_iter`` sweeps without stopping.
+    stop at a move of at most ``tol`` or where rounding stalls them.
+    Raises MaxIterExceeded after ``max_iter`` sweeps without stopping.
     """
     weight = row[:, :, None] * column[:, None, :]
     x, u, a = np.nonzero(weight)
@@ -109,19 +107,10 @@ def evaluate_pair(spec: GameSpec, row: np.ndarray, column: np.ndarray,
     successor = spec.transition[x, u, a]
     n = spec.n_states
     gain = np.bincount(x, weight * spec.reward[x, u, a], minlength=n)
-    last = np.inf
-
-    def sweep(v):
-        nonlocal last
-        nxt = gain + spec.gamma * np.bincount(x, weight * v[successor],
-                                              minlength=n)
-        move = float(np.abs(nxt - v).max())
-        if move >= last:
-            return v
-        last = move
-        return nxt
-
-    return fixed_point(sweep, v0, spec.gamma, tol, max_iter).q
+    return fixed_point(
+        lambda v: gain + spec.gamma * np.bincount(x, weight * v[successor],
+                                                  minlength=n),
+        v0, tol, max_iter).q
 
 
 class RestrictedGames(NamedTuple):
@@ -157,14 +146,14 @@ def newton_step(spec: GameSpec, rows: np.ndarray, w: np.ndarray,
 
     The step of Pollatschek and Avi-Itzhak (1969) evaluates the pair of row
     and column strategies of ``games`` by ``evaluate_pair`` from ``w``, to
-    a sweep change of max(tol, 1e-3 * residual), or of tol on the ``first``
+    a sweep move of max(tol, 1e-3 * residual), or of tol on the ``first``
     step, from w = 0, where on a game without choices that one evaluation
-    is the answer.  Unless ``checked``, that full step is taken.  Otherwise
-    a safeguard in the spirit of Filar and Tolwinski (1991) accepts a step
-    only when its residual is at most gamma times that of ``games``: its
-    length halves from 1 while it is at least 1 - gamma, and a shorter step
-    promises less than the restricted backup w <- value, which always
-    qualifies.  Returns the new state vector, the accepted step length (0
+    is the answer; sweeps also stop where rounding stalls them.  Unless
+    ``checked``, that full step is taken.  Otherwise a safeguard in the
+    spirit of Filar and Tolwinski (1991) accepts a step only when its
+    residual is at most gamma times that of ``games``: its length halves
+    from 1 while it is at least 1 - gamma, and a shorter step promises less
+    than the restricted backup w <- value, which always qualifies.  Returns the new state vector, the accepted step length (0
     for the backup) and its ``restricted_games``.
     """
     stop = tol if first else max(tol, 1e-3 * games.residual)

@@ -12,8 +12,9 @@ within gamma_h * r / (1 - gamma_h) of the fixed point.
 Policies are evaluated at the successor state: the continuation value at x'
 uses pi_h(x') and mu_h(x').
 
-``solve`` computes the fixed points exactly instead of iterating a backup.
-With deterministic policies of both players fixed, every state x has one
+``solve`` returns the fixed points of ``policy_backup`` and
+``optimal_backup`` exactly instead of iterating a backup.  With
+deterministic policies of both players fixed, every state x has one
 successor g(x) and its value obeys v(x) = min(h(x), (1 - gamma_h) h(x) +
 gamma_h v(g(x))).  Maps y -> min(A, B + c y) compose into maps of the same
 form, so pointer doubling evaluates every state in about
@@ -26,14 +27,14 @@ of that evaluation the adversary's best response comes from policy
 iteration, and the max-min table from Hoffman-Karp strategy iteration of
 the protagonist around it; both stop after finitely many improvements.  No
 solve is warm-started.  ``fixed_point`` is plain value iteration of any
-contraction, which the task side's pair evaluation
-(``perf.evaluate_pair``) uses.
+contraction, stopped at a tolerance or where rounding stalls it; the task
+side's pair evaluation (``perf.evaluate_pair``) uses it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -74,35 +75,37 @@ def optimal_backup(q: np.ndarray, spec: GameSpec) -> np.ndarray:
 @dataclass(frozen=True)
 class FixedPointResult:
     q: np.ndarray
-    residual: float      # sup-norm of the last update (fixed_point) or of
-                         # the change under one more backup (solve)
-    iterations: int      # sweeps (fixed_point) or improvements (solve)
-    error_bound: float   # guaranteed sup-norm distance to the fixed point
+    residual: float      # sup-norm move of the last sweep
+    iterations: int      # sweeps, the stalled one included
 
 
 def fixed_point(op: Callable[[np.ndarray], np.ndarray], q0: np.ndarray,
-                gamma: float, tol: float = DEFAULT_TOL,
+                tol: float = DEFAULT_TOL,
                 max_iter: int = DEFAULT_MAX_ITER) -> FixedPointResult:
     """Iterate a sup-norm contraction to a fixed point.
 
-    Raises MaxIterExceeded when the residual is still above ``tol`` after
-    ``max_iter`` sweeps (typically the discount is too close to 1 for the
-    budget).
+    Sweeps stop once one moves q by at most ``tol``, or by no less than the
+    sweep before it: a contraction shrinks every move until rounding stalls
+    it.  The stalled sweep counts in ``iterations`` and its move is the
+    ``residual``, but its result is not taken.  Raises MaxIterExceeded
+    after ``max_iter`` sweeps without stopping (typically the discount is
+    too close to 1 for the budget).
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     q = np.asarray(q0, dtype=np.float64)
-    residual = np.inf
+    last = np.inf
     for it in range(1, max_iter + 1):
         q_next = op(q)
         residual = float(np.abs(q_next - q).max())
-        q = q_next
+        if residual >= last:
+            return FixedPointResult(q, residual, it)
         if residual <= tol:
-            bound = gamma * residual / (1.0 - gamma)
-            return FixedPointResult(q, residual, it, bound)
+            return FixedPointResult(q_next, residual, it)
+        q, last = q_next, residual
     raise MaxIterExceeded(
-        f"residual {residual:.3e} > tol {tol:.3e} after {max_iter} sweeps",
-        residual=residual, iterations=max_iter)
+        f"residual {last:.3e} > tol {tol:.3e} after {max_iter} sweeps",
+        residual=last, iterations=max_iter)
 
 
 # Doubling stops once the discount left on the remaining tail is below
@@ -144,33 +147,27 @@ def _greedy(values: np.ndarray, current: np.ndarray) -> np.ndarray:
     return np.where(values[idx, best] > values[idx, current], best, current)
 
 
-def solve(spec: GameSpec, backup: Callable[..., np.ndarray], *args,
-          max_iter: int = DEFAULT_MAX_ITER) -> FixedPointResult:
-    """Exact fixed point of ``backup(q, spec, *args)`` at discount ``gamma_h``.
+def solve(spec: GameSpec, pi_h: Optional[DetPolicy] = None,
+          max_iter: int = DEFAULT_MAX_ITER) -> np.ndarray:
+    """Exact safety table at discount ``gamma_h``.
 
-    ``solve(spec, policy_backup, pi_h)`` is the table of a deterministic
-    protagonist against its worst-case adversary, found by adversary policy
-    iteration; ``solve(spec, optimal_backup)`` is the max-min table, found by
-    protagonist strategy iteration around it.  Actions switch only on strict
+    ``solve(spec, pi_h)`` is the table of a deterministic protagonist
+    against its worst-case adversary, the fixed point of ``policy_backup``,
+    found by adversary policy iteration; ``solve(spec)`` is the max-min
+    table, the fixed point of ``optimal_backup``, found by protagonist
+    strategy iteration around it.  Actions switch only on strict
     improvement, to the lowest best index, so runs are bit-reproducible.
-    ``iterations`` counts improvements; more than ``max_iter`` of them raise
-    MaxIterExceeded.  ``residual`` is measured with one more backup and
-    ``error_bound`` derived from it.
+    More than ``max_iter`` improvements raise MaxIterExceeded, whose
+    residual is the last table's move under one more backup.
     """
-    if backup is optimal_backup:
-        prot = np.zeros(spec.n_states, dtype=np.int64)
-    elif backup is policy_backup:
-        prot = args[0].action
-    else:
-        raise ValueError("solve takes policy_backup or optimal_backup")
+    optimal = pi_h is None
+    prot = np.zeros(spec.n_states, dtype=np.int64) if optimal else pi_h.action
     idx = np.arange(spec.n_states)
     adv = np.zeros(spec.n_states, dtype=np.int64)
-    improvements = 0
-    while True:
+    for _ in range(max_iter + 1):
         q = _backup(_evaluate(spec, spec.transition[idx, prot, adv]), spec)
         response = _greedy(-q[idx, prot], adv)
-        better = (_greedy(q.min(axis=2), prot) if backup is optimal_backup
-                  else prot)
+        better = _greedy(q.min(axis=2), prot) if optimal else prot
         if (response != adv).any():
             adv = response
         elif (better != prot).any():
@@ -178,16 +175,12 @@ def solve(spec: GameSpec, backup: Callable[..., np.ndarray], *args,
             adv = np.where(better != prot, q[idx, better].argmin(axis=1), adv)
             prot = better
         else:
-            break
-        if improvements == max_iter:
-            residual = float(np.abs(backup(q, spec, *args) - q).max())
-            raise MaxIterExceeded(
-                f"residual {residual:.3e} after {max_iter} improvements",
-                residual=residual, iterations=max_iter)
-        improvements += 1
-    residual = float(np.abs(backup(q, spec, *args) - q).max())
-    return FixedPointResult(q, residual, improvements,
-                            spec.gamma_h * residual / (1.0 - spec.gamma_h))
+            return q
+    again = optimal_backup(q, spec) if optimal else policy_backup(q, spec, pi_h)
+    residual = float(np.abs(again - q).max())
+    raise MaxIterExceeded(
+        f"residual {residual:.3e} after {max_iter} improvements",
+        residual=residual, iterations=max_iter)
 
 
 def improve_policy(q: np.ndarray, pi_h: DetPolicy) -> DetPolicy:

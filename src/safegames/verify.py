@@ -119,7 +119,7 @@ def set_inclusion_check(spec: GameSpec, optimal: safety.InvariantSet,
     ok = bool((~optimal.member | in_constraint).all())
     for _ in range(n_policies):
         pi_h = DetPolicy(rng.integers(0, spec.n_u, spec.n_states), PROTAGONIST)
-        q_pi = safety.solve(spec, safety.policy_backup, pi_h).q
+        q_pi = safety.solve(spec, pi_h)
         member = safety.extract_invariant_set(q_pi, spec).member
         ok = ok and bool((~member | optimal.member).all())
     return PropertyResult(

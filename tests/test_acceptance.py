@@ -98,7 +98,7 @@ def test_criterion_3_sign_certification_against_enum():
         spec = random_game(RandomGameParams(n_states=4, n_u=2, n_a=2, seed=seed))
         strict = dataclasses.replace(spec, gamma_h=0.999)
         inv = safety.extract_invariant_set(
-            safety.solve(strict, safety.optimal_backup).q, strict)
+            safety.solve(strict), strict)
         enum = oracle.enumerate_optimal_safety(spec)
         truth = enum.min(axis=2).max(axis=1) >= 0.0
         mismatches += int((inv.member != truth).sum())
@@ -123,7 +123,7 @@ def _feasible_games(count=20, n_states=8, n_u=3, n_a=3):
     while len(games) < count:
         spec = random_game(RandomGameParams(
             n_states=n_states, n_u=n_u, n_a=n_a, seed=seed))
-        q_star = safety.solve(spec, safety.optimal_backup).q
+        q_star = safety.solve(spec)
         if safety.extract_invariant_set(q_star, spec).member.any():
             games.append(spec)
         seed += 1
@@ -141,7 +141,7 @@ def test_criterion_5_dual_iteration_convergence(dpi_runs):
     worst_gap = worst_residual = worst_chain = 0.0
     member_drops = 0
     for spec, result in dpi_runs:
-        direct = safety.solve(spec, safety.optimal_backup).q
+        direct = safety.solve(spec)
         worst_gap = max(worst_gap, float(np.abs(result.q_h - direct).max()))
         worst_residual = max(worst_residual,
                              result.trace.final_constrained_residual)
@@ -172,7 +172,7 @@ def test_criterion_6_forward_invariance_search(dpi_runs):
         spec = random_game(RandomGameParams(
             n_states=100, n_u=4, n_a=4, hazard_fraction=0.1, seed=100 + seed))
         inv = safety.extract_invariant_set(
-            safety.solve(spec, safety.optimal_backup).q, spec)
+            safety.solve(spec), spec)
         violations, explored = oracle.find_invariance_violations(spec, inv)
         exits += len(violations)
         transitions += explored
@@ -215,7 +215,7 @@ def test_criterion_8_gridworld_adversary_monotonicity():
             width=4, height=4, hazard_cells=((0, 0),), goal_cell=(3, 3),
             adversary_strength=strength))
         inv = safety.extract_invariant_set(
-            safety.solve(spec, safety.optimal_backup).q, spec)
+            safety.solve(spec), spec)
         kernel = oracle.viability_kernel(spec)
         if not np.array_equal(inv.member, kernel):
             classification_ok = False

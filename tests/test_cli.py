@@ -1,7 +1,7 @@
 import dataclasses
 import io
 import json
-from types import SimpleNamespace
+import warnings
 
 import numpy as np
 import pytest
@@ -276,8 +276,8 @@ def test_sweep_out_writes_the_row_writers_bytes(tmp_path, monkeypatch):
     save_game(spec, game_path)
     tables = {0.9: np.resize(_AWKWARD_VALUES, spec.shape),
               0.99: -np.resize(_AWKWARD_VALUES[::-1], spec.shape)}
-    monkeypatch.setattr(cli.safety, "solve", lambda game, backup:
-                        SimpleNamespace(q=tables[game.gamma_h]))
+    monkeypatch.setattr(cli.safety, "solve",
+                        lambda game: tables[game.gamma_h])
     assert cli.main(["sweep", "--game", str(game_path), "--gammas", "0.9,0.99",
                      "--out", str(out_path)]) == 0
     expected = io.StringIO()
@@ -332,7 +332,7 @@ def test_sweep_writes_the_exact_tables(capsys):
     expected = []
     for gamma_h in (0.9, 0.999):
         strict = dataclasses.replace(spec, gamma_h=gamma_h)
-        q = safety.solve(strict, safety.optimal_backup).q
+        q = safety.solve(strict)
         expected += [f"{x},{u},{a},{gamma_h:.12g},{q[x, u, a]:.12g}"
                      for x, u, a in np.ndindex(spec.shape)]
     assert rows == expected
@@ -360,6 +360,18 @@ def test_config_file_precedence(tmp_path):
     config.write_text("[1, 2]")
     assert cli.main(["--config", str(config), "solve", "--random",
                      "--out", str(out_c)]) == 1
+
+
+def test_the_last_config_file_counts(tmp_path):
+    first, last = tmp_path / "first.json", tmp_path / "last.json"
+    first.write_text(json.dumps({"seed": 5, "m": 2.5}))
+    last.write_text(json.dumps({"seed": 7}))
+    assert cli.main(["--config", str(first), f"--config={last}", "solve",
+                     "--random", "--out", str(tmp_path / "a")]) == 0
+    assert cli.main(["solve", "--random", "--seed", "7",
+                     "--out", str(tmp_path / "b")]) == 0
+    assert ((tmp_path / "a" / "qh.csv").read_bytes()
+            == (tmp_path / "b" / "qh.csv").read_bytes())
 
 
 def test_config_rejects_keys_no_command_knows(tmp_path, capsys):
@@ -495,13 +507,67 @@ def test_gamma_overrides(tmp_path):
     ["verify", "--random", "--tol", "nan"],
     ["sweep", "--random", "--gammas", "abc"],
     ["sweep", "--random", "--gammas", "1.5"],
+    ["solve", "--random", "--seed", "-1"],
+    ["solve", "--grid", "4x4", "--seed", "-5"],
+    ["verify", "--grid", "4x4", "--seed", "-1"],
+    ["verify", "--game", "g.json", "--seed", "-1"],
+    ["sweep", "--random", "--seed", "-1"],
 ], ids=lambda argv: " ".join(argv))
-def test_bad_flag_values_exit_1_without_traceback(tmp_path, capsys, argv):
+def test_bad_flag_values_exit_1_without_traceback(tmp_path, monkeypatch,
+                                                  capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    _write_g3(tmp_path / "g.json")
     if argv[0] == "solve":
-        argv = argv + ["--out", str(tmp_path / "out")]
+        argv = argv + ["--out", "out"]
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    if "--seed" in argv:
+        assert err == "error: --seed must be nonnegative\n"
+
+
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe\x00",
+    b'{"n_states": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+], ids=["not-utf8", "nested-100000-deep"])
+@pytest.mark.parametrize("flag", ["--game", "--config"])
+def test_undecodable_json_exits_1_naming_the_file(tmp_path, capsys, content,
+                                                  flag):
+    path = tmp_path / "f.json"
+    path.write_bytes(content)
+    argv = (["solve", "--game", str(path)] if flag == "--game"
+            else ["--config", str(path), "solve", "--random"])
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("scale, gamma, code", [
+    (2e307, 0.9, 1), (1e307, 0.9, 1), (1e307, 0.8, 0)])
+def test_reward_scales_whose_values_overflow_are_rejected(
+        tmp_path, capsys, scale, gamma, code):
+    # Values lie within scale / (1 - gamma) of 0, so two of them differ by
+    # up to twice that: 2e308 and more overflow a double, 1e308 does not.
+    path, out = tmp_path / "g.json", tmp_path / "out"
+    path.write_text(json.dumps({
+        "n_states": 2, "n_u": 2, "n_a": 1, "gamma": gamma, "gamma_h": 0.9,
+        "transition": [[[0], [1]], [[1], [0]]],
+        "reward": [[[scale], [scale]], [[-scale], [-scale]]],
+        "h": [1.0, 1.0]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow on the accepted side
+        solve = cli.main(["solve", "--game", str(path), "--out", str(out)])
+        verify = cli.main(["verify", "--game", str(path), "--pairs", "3"])
+    err = capsys.readouterr().err
+    assert solve == verify == code
+    if code:
+        assert err.count("error: reward scale overflows") == 2
+        assert not out.exists()
+    else:
+        q = cli.read_q_csv(out / "q.csv", (2, 2, 1))
+        assert np.isfinite(q).all() and np.abs(q).max() > 1e307
+        policy = json.loads((out / "policy.json").read_text())
+        assert np.isfinite(policy["state_value"]).all()
 
 
 @pytest.mark.parametrize("field,value", [

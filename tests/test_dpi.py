@@ -59,7 +59,7 @@ def test_terminal_tables_match_standalone_solves():
     for seed in (2, 5, 7):
         spec = make_random_spec(seed)
         result = dpi.run(spec, DpiConfig(m=40, n=2, tol=1e-11))
-        direct = safety.solve(spec, safety.optimal_backup).q
+        direct = safety.solve(spec)
         assert np.abs(result.q_h - direct).max() <= 1e-6
         assert result.trace.final_constrained_residual <= 1e-6
 

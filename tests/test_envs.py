@@ -84,8 +84,7 @@ def test_gridworld_corner_hazard_membership():
     spec = gridworld(GridworldParams(width=4, height=4,
                                      hazard_cells=((0, 0),), goal_cell=(3, 3),
                                      adversary_strength=0))
-    res = safety.solve(spec, safety.optimal_backup)
-    inv = safety.extract_invariant_set(res.q, spec)
+    inv = safety.extract_invariant_set(safety.solve(spec), spec)
     assert inv.member_count() == 15
     assert not inv.member[0]
 
@@ -98,7 +97,7 @@ def test_gridworld_adversary_never_enlarges_the_set():
                 width=4, height=4, hazard_cells=(hazard,), goal_cell=(3, 3),
                 adversary_strength=strength))
             masks[strength] = safety.extract_invariant_set(
-                safety.solve(spec, safety.optimal_backup).q, spec).member
+                safety.solve(spec), spec).member
         assert (~masks[1] | masks[0]).all()  # strength 1 subset of strength 0
 
 
@@ -111,8 +110,8 @@ def test_gridworld_strong_adversary_shrinks_inner_level_set():
         spec = gridworld(GridworldParams(
             width=4, height=4, hazard_cells=((1, 1),), goal_cell=(3, 3),
             adversary_strength=strength))
-        res = safety.solve(spec, safety.optimal_backup)
-        inv = safety.extract_invariant_set(res.q, spec, threshold=0.5)
+        inv = safety.extract_invariant_set(safety.solve(spec), spec,
+                                           threshold=0.5)
         counts[strength] = inv.member
     assert (~counts[1] | counts[0]).all()
     assert counts[1].sum() < counts[0].sum()

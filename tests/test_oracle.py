@@ -95,7 +95,7 @@ def test_enum_positivity_matches_discounted_membership():
         truth = enum.min(axis=2).max(axis=1) >= 0
         strict = dataclasses.replace(spec, gamma_h=0.999)
         inv = safety.extract_invariant_set(
-            safety.solve(strict, safety.optimal_backup).q, strict)
+            safety.solve(strict), strict)
         assert np.array_equal(inv.member, truth)
 
 
@@ -143,12 +143,12 @@ def test_discounted_sweep_rejects_bad_gamma(g1):
 
 def test_induced_game_anchors(g1, g2_rewarded):
     inv1 = safety.extract_invariant_set(
-        safety.solve(g1, safety.optimal_backup).q, g1)
+        safety.solve(g1), g1)
     q1 = oracle.solve_induced_game(g1, inv1)
     assert q1[0, 0, 0] == pytest.approx(1.0 / (1.0 - g1.gamma), abs=1e-8)
 
     inv2 = safety.extract_invariant_set(
-        safety.solve(g2_rewarded, safety.optimal_backup).q, g2_rewarded)
+        safety.solve(g2_rewarded), g2_rewarded)
     q2 = oracle.solve_induced_game(g2_rewarded, inv2)
     assert q2[0, 0, 0] == pytest.approx(1.0 / (1.0 - g2_rewarded.gamma),
                                         abs=1e-8)
@@ -157,7 +157,7 @@ def test_induced_game_anchors(g1, g2_rewarded):
 def test_induced_game_agrees_with_constrained_fixed_point():
     spec = make_random_spec(4, n_states=6, n_u=2, n_a=2)
     inv = safety.extract_invariant_set(
-        safety.solve(spec, safety.optimal_backup).q, spec)
+        safety.solve(spec), spec)
     assert inv.member.any()
     engine = value_iteration.solve(spec, perf.constrained_backup, inv,
                                    tol=1e-10).q
@@ -179,7 +179,7 @@ def test_induced_game_names_the_first_exit_of_a_stale_set(g2_rewarded):
 def test_induced_game_and_engine_name_the_same_exit():
     spec = make_random_spec(2)
     inv = safety.extract_invariant_set(
-        safety.solve(spec, safety.optimal_backup).q, spec)
+        safety.solve(spec), spec)
     leaky = ~inv.member[spec.transition].all(axis=2) & inv.member[:, None]
     stale = InvariantSet(inv.member, inv.admissible | leaky)
     x, u, a, succ = oracle.find_invariance_violations(spec, stale)[0][0]
@@ -197,7 +197,7 @@ def test_invariance_search_clean_on_converged_sets():
     for seed in range(10):
         spec = make_random_spec(seed)
         inv = safety.extract_invariant_set(
-            safety.solve(spec, safety.optimal_backup).q, spec)
+            safety.solve(spec), spec)
         violations, explored = oracle.find_invariance_violations(spec, inv)
         assert violations == []
         total += explored
@@ -233,7 +233,7 @@ def test_invariance_scan_matches_a_reference_loop():
     for seed in (2, 7, 9):
         spec = make_random_spec(seed)
         solved = safety.extract_invariant_set(
-            safety.solve(spec, safety.optimal_backup).q, spec)
+            safety.solve(spec), spec)
         admissible = rng.random((spec.n_states, spec.n_u)) < 0.6
         stale = InvariantSet(admissible.any(axis=1), admissible)
         for inv in (solved, stale):

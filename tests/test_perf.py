@@ -46,7 +46,7 @@ def test_pair_fixed_point_matches_linear_solve(g2_rewarded):
     expected = _linear_solve_pair_value(g2_rewarded, pi, mu)
     got = perf.fixed_point(
         lambda q: perf.pair_backup(q, g2_rewarded, pi, mu),
-        np.zeros(g2_rewarded.shape), g2_rewarded.gamma, tol=1e-12)
+        np.zeros(g2_rewarded.shape), tol=1e-12)
     assert np.abs(got.q - expected).max() <= 1e-8
 
 
@@ -59,7 +59,7 @@ def test_pair_fixed_point_matches_linear_solve_random():
     mu = MixedPolicy(prob_a / prob_a.sum(axis=1, keepdims=True))
     expected = _linear_solve_pair_value(spec, pi, mu)
     got = perf.fixed_point(lambda q: perf.pair_backup(q, spec, pi, mu),
-                           np.zeros(spec.shape), spec.gamma, tol=1e-12)
+                           np.zeros(spec.shape), tol=1e-12)
     assert np.abs(got.q - expected).max() <= 1e-8
 
 
@@ -116,14 +116,14 @@ def test_minimax_backup_equals_per_action_for_point_mass(g2_rewarded):
 
 def test_constrained_fixed_point_g1(g1):
     inv = safety.extract_invariant_set(
-        safety.solve(g1, safety.optimal_backup).q, g1)
+        safety.solve(g1), g1)
     res = value_iteration.solve(g1, perf.constrained_backup, inv, tol=1e-12)
     assert res.q[0, 0, 0] == pytest.approx(2.0, abs=1e-9)  # 1 / (1 - 0.5)
 
 
 def test_constrained_fixed_point_g2(g2_rewarded):
     inv = safety.extract_invariant_set(
-        safety.solve(g2_rewarded, safety.optimal_backup).q, g2_rewarded)
+        safety.solve(g2_rewarded), g2_rewarded)
     res = value_iteration.solve(g2_rewarded, perf.constrained_backup, inv,
                                 tol=1e-12)
     assert res.q[0, 0, 0] == pytest.approx(1.0 / (1.0 - g2_rewarded.gamma),
@@ -133,7 +133,7 @@ def test_constrained_fixed_point_g2(g2_rewarded):
 def test_constrained_idempotent_on_member_cells():
     spec = make_random_spec(3, n_states=6, n_u=2, n_a=2)
     inv = safety.extract_invariant_set(
-        safety.solve(spec, safety.optimal_backup).q, spec)
+        safety.solve(spec), spec)
     assert inv.member.any()
     first = value_iteration.solve(spec, perf.constrained_backup, inv,
                                   tol=1e-11).q
@@ -146,7 +146,7 @@ def test_constrained_idempotent_on_member_cells():
 
 def test_constrained_leaves_nonmember_rows_untouched(g2_rewarded):
     inv = safety.extract_invariant_set(
-        safety.solve(g2_rewarded, safety.optimal_backup).q, g2_rewarded)
+        safety.solve(g2_rewarded), g2_rewarded)
     q0 = np.full(g2_rewarded.shape, 7.0)
     out = perf.constrained_backup(q0, g2_rewarded, inv)
     assert (out[1] == 7.0).all()          # non-member state untouched
@@ -178,7 +178,7 @@ def _first_exit_message(spec, inv):
 def test_constrained_names_the_first_exit_of_a_stale_set():
     spec = make_random_spec(2)
     inv = safety.extract_invariant_set(
-        safety.solve(spec, safety.optimal_backup).q, spec)
+        safety.solve(spec), spec)
     assert _first_exit_message(spec, inv) is None
     # Mark two inadmissible cells admissible; each reaches a non-member.
     exits = [(x, u) for x in np.flatnonzero(inv.member)

@@ -44,7 +44,7 @@ def games(draw, max_actions=3, rewarded=False):
 
 def _max_min_set(spec):
     return safety.extract_invariant_set(
-        safety.solve(spec, safety.optimal_backup).q, spec)
+        safety.solve(spec), spec)
 
 
 def _value_iteration(spec, tol=1e-10):
@@ -67,7 +67,7 @@ def _value_iteration(spec, tol=1e-10):
 def test_exact_table_within_value_iteration_bound(spec):
     for gamma_h in (0.9, 0.99, 0.999):
         strict = dataclasses.replace(spec, gamma_h=gamma_h)
-        exact = safety.solve(strict, safety.optimal_backup).q
+        exact = safety.solve(strict)
         iterate, bound = _value_iteration(strict)
         assert np.abs(exact - iterate).max() <= bound + 1e-12
 
@@ -76,7 +76,7 @@ def test_exact_table_within_value_iteration_bound(spec):
 @given(games())
 def test_exact_table_is_a_fixed_point_near_discount_one(spec):
     strict = dataclasses.replace(spec, gamma_h=0.9999)
-    q = safety.solve(strict, safety.optimal_backup).q
+    q = safety.solve(strict)
     residual = np.abs(safety.optimal_backup(q, strict) - q).max()
     assert residual <= 1e-12 * np.abs(spec.constraint).max()
 

@@ -64,61 +64,86 @@ def test_policy_eval_matches_plain_iteration(g3):
     pi = DetPolicy.constant(2, 0, PROTAGONIST)
     expected = _iterate_plain(lambda q: safety.policy_backup(q, g3, pi),
                               np.zeros((2, 2, 2)))
-    res = safety.solve(g3, safety.policy_backup, pi)
-    assert np.abs(res.q - expected).max() <= 1e-10
-    # one extra application stays within the reported residual
-    again = safety.policy_backup(res.q, g3, pi)
-    assert np.abs(again - res.q).max() <= res.residual
+    q = safety.solve(g3, pi)
+    assert np.abs(q - expected).max() <= 1e-10
+    # one extra application leaves the exact table where it is
+    again = safety.policy_backup(q, g3, pi)
+    assert np.abs(again - q).max() == 0.0
 
 
 def test_optimal_fixed_points_on_anchors(g1, g2, g3):
-    q1 = safety.solve(g1, safety.optimal_backup).q
+    q1 = safety.solve(g1)
     assert np.abs(q1 - 2.0).max() <= 1e-10
 
-    q2 = safety.solve(g2, safety.optimal_backup).q
+    q2 = safety.solve(g2)
     assert q2[0, 0, 0] == pytest.approx(1.0, abs=1e-10)
     assert q2[0, 1, 0] == pytest.approx(-0.8, abs=1e-10)
     assert q2[1, 0, 0] == pytest.approx(-1.0, abs=1e-10)
 
-    q3 = safety.solve(g3, safety.optimal_backup).q
+    q3 = safety.solve(g3)
     assert safety.state_value(q3)[0] < 0.0  # the adversary always mismatches
 
 
 def test_fixed_point_from_zeros(g1, g2):
-    res = safety.solve(g1, safety.optimal_backup)
-    assert res.q[0, 0, 0] == pytest.approx(2.0, abs=1e-8)
-    assert res.residual <= 1e-10
-    assert res.error_bound == pytest.approx(
-        g1.gamma_h * res.residual / (1 - g1.gamma_h))
-    res2 = safety.solve(g2, safety.optimal_backup)
-    assert res2.q[0, 1, 0] == pytest.approx(-0.8, abs=1e-8)
+    q = safety.solve(g1)
+    assert q[0, 0, 0] == pytest.approx(2.0, abs=1e-8)
+    residual = np.abs(safety.optimal_backup(q, g1) - q).max()
+    assert residual <= 1e-10
+    # a table one backup moves by r is within this bound of the fixed point
+    bound = g1.gamma_h * residual / (1 - g1.gamma_h)
+    assert np.abs(q - 2.0).max() <= bound
+    q2 = safety.solve(g2)
+    assert q2[0, 1, 0] == pytest.approx(-0.8, abs=1e-8)
 
 
 def test_fixed_point_budget_exhaustion():
     # The exact solve caps improvements; value iteration caps sweeps.
     spec = make_random_spec(0, gamma_h=0.999)
-    needed = safety.solve(spec, safety.optimal_backup).iterations
+
+    def solves_within(budget):
+        try:
+            safety.solve(spec, max_iter=budget)
+        except MaxIterExceeded:
+            return False
+        return True
+
+    needed = next(k for k in range(100) if solves_within(k))
     assert needed >= 2
     with pytest.raises(MaxIterExceeded) as err:
-        safety.solve(spec, safety.optimal_backup, max_iter=needed - 1)
+        safety.solve(spec, max_iter=needed - 1)
     assert err.value.iterations == needed - 1
     assert err.value.residual > 1e-10
     flat = make_random_spec(0, hazard_fraction=0.0, gamma_h=0.999)
     with pytest.raises(MaxIterExceeded) as err:
         safety.fixed_point(lambda q: safety.optimal_backup(q, flat),
-                           np.zeros(flat.shape), flat.gamma_h, tol=1e-10,
-                           max_iter=10)
+                           np.zeros(flat.shape), tol=1e-10, max_iter=10)
     assert err.value.iterations == 10
     assert err.value.residual > 1e-10
 
 
 def test_fixed_point_rejects_bad_tol(g1):
     with pytest.raises(ValueError):
-        safety.fixed_point(lambda q: q, np.zeros((1, 1, 1)), 0.9, tol=0.0)
+        safety.fixed_point(lambda q: q, np.zeros((1, 1, 1)), tol=0.0)
+
+
+def test_fixed_point_stops_where_rounding_stalls_it():
+    # q -> 1e12 - q / 2 contracts toward 2e12 / 3, where one ulp is 2**-13,
+    # far above tol: its sweeps end in a rounding two-cycle, not at tol.
+    def op(q):
+        return 1e12 - 0.5 * q
+
+    res = safety.fixed_point(op, np.zeros(1), tol=1e-10, max_iter=1000)
+    q, moves = np.zeros(1), []
+    while len(moves) < 2 or moves[-1] < moves[-2]:
+        prev, q = q, op(q)
+        moves.append(np.abs(q - prev).max())
+    assert res.iterations == len(moves) == 55
+    assert np.array_equal(res.q, prev)  # the stalled sweep is not taken
+    assert res.residual == moves[-1] == 2.0 ** -13
 
 
 def test_improve_policy_prefers_safe_loop(g2):
-    q = safety.solve(g2, safety.optimal_backup).q
+    q = safety.solve(g2)
     pi = safety.improve_policy(q, DetPolicy.constant(2, 1, PROTAGONIST))
     assert pi.action[0] == 0  # value 1 beats -0.8
     assert pi.role == PROTAGONIST
@@ -138,18 +163,18 @@ def test_improve_policy_tie_breaks_low_index():
 
 def test_extract_invariant_set_anchors(g1, g2, g3):
     inv1 = safety.extract_invariant_set(
-        safety.solve(g1, safety.optimal_backup).q, g1)
+        safety.solve(g1), g1)
     assert inv1.member.tolist() == [True]
     assert np.flatnonzero(inv1.admissible[0]).tolist() == [0]
 
     inv2 = safety.extract_invariant_set(
-        safety.solve(g2, safety.optimal_backup).q, g2)
+        safety.solve(g2), g2)
     assert inv2.member.tolist() == [True, False]
     assert np.flatnonzero(inv2.admissible[0]).tolist() == [0]
     assert np.flatnonzero(inv2.admissible[1]).tolist() == []
 
     inv3 = safety.extract_invariant_set(
-        safety.solve(g3, safety.optimal_backup).q, g3)
+        safety.solve(g3), g3)
     assert not inv3.member.any()
 
 
@@ -157,7 +182,7 @@ def test_extract_invariant_set_closes_the_sign_test(chain):
     # At gamma_h = 0.9 state 0 keeps 0.2 + 0.9 * v(1) >= 0 although state 1,
     # its only successor, is negative; the closed set and the kernel are
     # empty.
-    q = safety.solve(chain, safety.optimal_backup).q
+    q = safety.solve(chain)
     assert q[0].min() >= 0.0 > q[1].min()
     inv = safety.extract_invariant_set(q, chain)
     assert not inv.member.any() and not inv.admissible.any()
@@ -168,7 +193,7 @@ def test_extract_invariant_set_closes_the_sign_test(chain):
     transition[0, 1] = 0
     spec = dataclasses.replace(chain, n_u=2, transition=transition,
                                reward=np.zeros((5, 2, 1)))
-    q = safety.solve(spec, safety.optimal_backup).q
+    q = safety.solve(spec)
     assert q[0, 0, 0] >= 0.0
     inv = safety.extract_invariant_set(q, spec)
     assert inv.member.tolist() == [True, False, False, False, False]
@@ -177,7 +202,7 @@ def test_extract_invariant_set_closes_the_sign_test(chain):
 
 def test_feasibility_anchors(g1, g2, g3):
     def feasible(spec):
-        q = safety.solve(spec, safety.optimal_backup).q
+        q = safety.solve(spec)
         return safety.extract_invariant_set(q, spec).member.any()
 
     assert feasible(g1)
@@ -188,7 +213,7 @@ def test_feasibility_anchors(g1, g2, g3):
 def test_fixed_point_bounded_by_constraint_range():
     for seed in range(5):
         spec = make_random_spec(seed)
-        q = safety.solve(spec, safety.optimal_backup).q
+        q = safety.solve(spec)
         assert q.min() >= spec.constraint.min() - 1e-9
         assert q.max() <= spec.constraint.max() + 1e-9
 
@@ -233,12 +258,12 @@ def test_set_inclusion_chain():
     for seed in range(8):
         spec = make_random_spec(seed)
         optimal = safety.extract_invariant_set(
-            safety.solve(spec, safety.optimal_backup).q, spec)
+            safety.solve(spec), spec)
         constraint_set = spec.constraint >= 0
         assert (~optimal.member | constraint_set).all()
         pi = DetPolicy(rng.integers(0, spec.n_u, spec.n_states), PROTAGONIST)
         policy_set = safety.extract_invariant_set(
-            safety.solve(spec, safety.policy_backup, pi).q, spec)
+            safety.solve(spec, pi), spec)
         assert (~policy_set.member | optimal.member).all()
 
 
@@ -257,10 +282,12 @@ def test_exact_tables_agree_with_value_iteration():
         swept = oracle.discounted_sweep(spec, gammas, tol=tol)
         for gamma_h in gammas:
             strict = dataclasses.replace(spec, gamma_h=gamma_h)
-            exact = safety.solve(strict, safety.optimal_backup)
-            assert exact.residual == 0.0
+            exact = safety.solve(strict)
+            residual = np.abs(safety.optimal_backup(exact, strict)
+                              - exact).max()
+            assert residual == 0.0
             bound = gamma_h * tol / (1.0 - gamma_h)
-            assert np.abs(exact.q - swept[gamma_h]).max() <= bound + 1e-12
+            assert np.abs(exact - swept[gamma_h]).max() <= bound + 1e-12
 
 
 def test_exact_solve_classifies_zero_values_on_a_push_grid():
@@ -273,8 +300,8 @@ def test_exact_solve_classifies_zero_values_on_a_push_grid():
     kernel = oracle.viability_kernel(spec)
     for gamma_h in (0.99, 0.999):
         strict = dataclasses.replace(spec, gamma_h=gamma_h)
-        res = safety.solve(strict, safety.optimal_backup)
-        inv = safety.extract_invariant_set(res.q, strict)
-        assert res.residual == 0.0
-        assert (safety.state_value(res.q)[kernel] == 0.0).sum() > 100
+        q = safety.solve(strict)
+        inv = safety.extract_invariant_set(q, strict)
+        assert np.abs(safety.optimal_backup(q, strict) - q).max() == 0.0
+        assert (safety.state_value(q)[kernel] == 0.0).sum() > 100
         assert np.array_equal(inv.member, kernel)

@@ -28,7 +28,7 @@ def test_sign_certification_uses_kernel_beyond_budget():
     assert 3 ** 12 * 3 ** 12 > oracle.ENUM_BUDGET >= 2 ** 4 * 2 ** 4
     for spec in (beyond, within):
         inv = safety.extract_invariant_set(
-            safety.solve(spec, safety.optimal_backup).q, spec)
+            safety.solve(spec), spec)
         result = verify.sign_certification_check(spec, inv)
         assert result.passed
         assert "kernel" in result.detail
@@ -124,9 +124,9 @@ def test_run_all_runs_the_dual_iteration_once(monkeypatch):
     solve, run = safety.solve, dpi.run
     calls = Counter()
 
-    def counting_solve(game, backup, *args, **kwargs):
-        calls[backup.__name__] += 1
-        return solve(game, backup, *args, **kwargs)
+    def counting_solve(game, pi_h=None, *args, **kwargs):
+        calls["optimal_backup" if pi_h is None else "policy_backup"] += 1
+        return solve(game, pi_h, *args, **kwargs)
 
     def counting_run(*args, **kwargs):
         calls["dpi.run"] += 1

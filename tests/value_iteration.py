@@ -23,5 +23,4 @@ def solve(spec, backup, *args, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
     """
     if q0 is None:
         q0 = np.zeros(spec.shape)
-    return fixed_point(lambda q: backup(q, spec, *args), q0, spec.gamma,
-                       tol, max_iter)
+    return fixed_point(lambda q: backup(q, spec, *args), q0, tol, max_iter)
