@@ -6,7 +6,7 @@ from .errors import (BudgetExceeded, InfeasibleGame, MaxIterExceeded,
                      NonMemberSuccessor, NumericalFailure)
 from .game import (ADVERSARY, PROTAGONIST, DetPolicy, GameSpec, MixedPolicy,
                    ValidationReport, validate)
-from .safety import FixedPointResult, InvariantSet
+from .safety import InvariantSet
 from .dpi import DpiConfig, DpiResult, DpiTrace
 from .envs import GridworldParams, RandomGameParams, gridworld, random_game
 
@@ -15,7 +15,7 @@ __all__ = [
     "BudgetExceeded", "InfeasibleGame", "MaxIterExceeded",
     "NonMemberSuccessor", "NumericalFailure",
     "DetPolicy", "GameSpec", "MixedPolicy", "ValidationReport", "validate",
-    "FixedPointResult", "InvariantSet",
+    "InvariantSet",
     "DpiConfig", "DpiResult", "DpiTrace",
     "GridworldParams", "RandomGameParams", "gridworld", "random_game",
 ]

@@ -9,9 +9,10 @@ invariant sets render as binary PGM with 255 = member, 0 = non-member.
 
 Exit codes: 0 success, 1 I/O, schema or flag-value error, or a numerical
 failure of a matrix-game LP (printed as ``error: numerical failure: ...``),
-2 infeasible game (the returned invariant set is empty), 3 a
-safety solve's improvement budget or a task evaluation's sweep budget ran
-out, 4 verification property failed.
+2 infeasible game (the returned invariant set is empty), 3 a player's
+improvement budget in the safety policy iteration or a task evaluation's
+sweep budget ran out (a task discount near 1 can exhaust the latter),
+4 verification property failed.
 Diagnostics go to stderr; data goes to files or stdout.
 """
 
@@ -23,6 +24,7 @@ import dataclasses
 import functools
 import json
 import sys
+import warnings
 from pathlib import Path
 from typing import Optional, Tuple
 
@@ -115,7 +117,9 @@ def read_q_csv(path, shape) -> np.ndarray:
     """Load a table written by ``write_q_csv``; every (x, u, a) cell of
     ``shape`` must appear exactly once."""
     try:
-        table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        with warnings.catch_warnings():  # no rows: the shape check reports it
+            warnings.simplefilter("ignore", UserWarning)
+            table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except ValueError as exc:
         raise SchemaError(f"{path}: {exc}") from exc
     if table.shape[1:] != (4,):
@@ -372,8 +376,9 @@ def build_parser(config=None) -> argparse.ArgumentParser:
                          help="exit bound on the task table's residual "
                               "(safety solves are exact)")
     p_solve.add_argument("--max-iter", type=int, default=safety.DEFAULT_MAX_ITER,
-                         help="improvement budget per safety solve and "
-                              "sweep budget per task evaluation")
+                         help="improvement budget per player of the "
+                              "safety policy iteration and sweep budget per "
+                              "task evaluation")
     p_solve.set_defaults(func=cmd_solve)
 
     p_verify = sub.add_parser("verify", help="run oracle cross-checks")
@@ -414,29 +419,16 @@ def build_parser(config=None) -> argparse.ArgumentParser:
 _default_parser = functools.cache(build_parser)
 
 
-def _load_config(argv):
-    """Pre-scan for --config so its entries can seed the parser defaults;
-    the last one counts, as it does for argparse."""
-    argv = list(sys.argv[1:] if argv is None else argv)
-    path = None
-    for i, token in enumerate(argv):
-        if token == "--config" and i + 1 < len(argv):
-            path = argv[i + 1]
-        elif token.startswith("--config="):
-            path = token.split("=", 1)[1]
-    if path is None:
-        return None
-    config = _read_json(path)
-    if not isinstance(config, dict):
-        raise SchemaError("config file must hold a JSON object")
-    return config
-
-
 def main(argv=None) -> int:
     try:
-        config = _load_config(argv)
-        parser = build_parser(config) if config else _default_parser()
-        args = parser.parse_args(argv)
+        args = _default_parser().parse_args(argv)
+        # argparse's own reading of --config (the last one, abbreviations
+        # too) picks the file; its entries seed a second parse's defaults.
+        if args.config:
+            config = _read_json(args.config)
+            if not isinstance(config, dict):
+                raise SchemaError("config file must hold a JSON object")
+            args = build_parser(config).parse_args(argv)
         return args.func(args)
     except (SchemaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

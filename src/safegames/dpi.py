@@ -1,12 +1,10 @@
 """Dual iteration of a safety policy and a task policy.
 
-The safety table always belongs to the current safety policy: it starts as
-the exact evaluation of the all-zeros policy, and each of the ``n`` safety
-rounds per outer step improves the policy (switching only on strict
-improvement) and evaluates it exactly with ``safety.solve``; a round that
-switches nothing ends the step's safety rounds, and no safety solve is
-warm-started.  Safety values grow monotonically toward the max-min fixed
-point, and so does the sign test's set; closing it
+The safety side takes up to ``n`` steps per outer step of
+``safety.policy_iteration``, each a strict improvement evaluated exactly;
+``safety.solve(spec)`` returns that iteration's last table, so a run that
+meets its exit test returns the max-min table bit for bit.  Safety values
+grow monotonically toward it, and so does the sign test's set; closing it
 (``safety.extract_invariant_set``) is monotone in the set it starts from,
 so the invariant set only ever expands.  Feasibility is decided once, on
 the returned safety table: a game whose returned invariant set is empty
@@ -38,6 +36,7 @@ table from the last batch, whose member games are the backup's.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import List
 
@@ -45,7 +44,7 @@ import numpy as np
 
 from . import perf, safety
 from .errors import InfeasibleGame
-from .game import PROTAGONIST, DetPolicy, GameSpec, MixedPolicy
+from .game import DetPolicy, GameSpec, MixedPolicy
 
 
 @dataclass(frozen=True)
@@ -93,28 +92,24 @@ def run(spec: GameSpec, cfg: DpiConfig = DpiConfig(),
     The loop exits once a step's safety rounds switch nothing and the task
     table's residual under the restricted backup is at most ``cfg.tol``.
     Raises InfeasibleGame when the returned invariant set is empty, and
-    propagates MaxIterExceeded from the safety solves' improvement budget
-    and the pair evaluations' sweep budget (both ``max_iter``).
+    propagates MaxIterExceeded from the safety side's improvement budgets
+    and the pair evaluations' sweep budget (all ``max_iter``).
     """
     if cfg.m < 1 or cfg.n < 1:
         raise ValueError("m and n must be at least 1")
     if not 0.0 < cfg.tol < np.inf:
         raise ValueError("tol must be positive and finite")
 
-    pi_h = DetPolicy.constant(spec.n_states, 0, PROTAGONIST)
-    q_h = safety.solve(spec, pi_h, max_iter)
+    safety_steps = safety.policy_iteration(spec, max_iter)
+    pi_h, q_h = next(safety_steps)
     w = np.zeros(spec.n_states)
     trace = DpiTrace()
     prev_q_h = prev_q = None
 
     for k in range(cfg.m):
         switched = False
-        for _ in range(cfg.n):
-            improved = safety.improve_policy(q_h, pi_h)
-            if np.array_equal(improved.action, pi_h.action):
-                break
-            pi_h, switched = improved, True
-            q_h = safety.solve(spec, pi_h, max_iter)
+        for pi_h, q_h in itertools.islice(safety_steps, cfg.n):
+            switched = True
         inv = safety.extract_invariant_set(q_h, spec)
         if k == 0 or switched:
             rows = inv.admissible.copy()

@@ -23,18 +23,19 @@ bit-exact finish after it costs more: one pass per orbit step on which a
 bit still changes.  A max-min solve needed at most 13 such passes per
 evaluation on a 300-state random game at gamma_h = 0.999, 12 on the 32x32
 push grid (gamma_h = 0.99) and 8,744 on a 20,000-state corridor.  On top
-of that evaluation the adversary's best response comes from policy
-iteration, and the max-min table from Hoffman-Karp strategy iteration of
-the protagonist around it; both stop after finitely many improvements.  No
-solve is warm-started.  ``fixed_point`` is plain value iteration of any
-contraction, stopped at a tolerance or where rounding stalls it; the task
-side's pair evaluation (``perf.evaluate_pair``) uses it.
+of it ``solve(spec, pi_h)`` runs the adversary's policy iteration, and
+``policy_iteration`` the protagonist's around it (Hoffman and Karp, 1966).
+``solve(spec)`` returns that iteration's last table and ``dpi.run`` takes
+its steps, so the two share every bit.  No solve is warm-started.
+``fixed_point`` is plain value iteration of any contraction, stopped at a
+tolerance or where rounding stalls it; the task side's pair evaluation
+(``perf.evaluate_pair``) uses it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -149,38 +150,48 @@ def _greedy(values: np.ndarray, current: np.ndarray) -> np.ndarray:
 
 def solve(spec: GameSpec, pi_h: Optional[DetPolicy] = None,
           max_iter: int = DEFAULT_MAX_ITER) -> np.ndarray:
-    """Exact safety table at discount ``gamma_h``.
-
-    ``solve(spec, pi_h)`` is the table of a deterministic protagonist
-    against its worst-case adversary, the fixed point of ``policy_backup``,
-    found by adversary policy iteration; ``solve(spec)`` is the max-min
-    table, the fixed point of ``optimal_backup``, found by protagonist
-    strategy iteration around it.  Actions switch only on strict
-    improvement, to the lowest best index, so runs are bit-reproducible.
-    More than ``max_iter`` improvements raise MaxIterExceeded, whose
-    residual is the last table's move under one more backup.
+    """Exact safety table at discount ``gamma_h``: with ``pi_h`` the fixed
+    point of ``policy_backup``, by adversary policy iteration, and without
+    it that of ``optimal_backup``, the last table of ``policy_iteration``.
+    Actions switch only on strict improvement, to the lowest best index, so
+    runs are bit-reproducible.  More than ``max_iter`` improvements of
+    either player raise MaxIterExceeded, whose residual is the last table's
+    move under one more backup.
     """
-    optimal = pi_h is None
-    prot = np.zeros(spec.n_states, dtype=np.int64) if optimal else pi_h.action
-    idx = np.arange(spec.n_states)
+    if pi_h is None:
+        for _, q in policy_iteration(spec, max_iter):
+            pass
+        return q
+    idx, prot = np.arange(spec.n_states), pi_h.action
     adv = np.zeros(spec.n_states, dtype=np.int64)
     for _ in range(max_iter + 1):
         q = _backup(_evaluate(spec, spec.transition[idx, prot, adv]), spec)
         response = _greedy(-q[idx, prot], adv)
-        better = _greedy(q.min(axis=2), prot) if optimal else prot
-        if (response != adv).any():
-            adv = response
-        elif (better != prot).any():
-            # A new protagonist action starts against its greedy response.
-            adv = np.where(better != prot, q[idx, better].argmin(axis=1), adv)
-            prot = better
-        else:
+        if np.array_equal(response, adv):
             return q
-    again = optimal_backup(q, spec) if optimal else policy_backup(q, spec, pi_h)
-    residual = float(np.abs(again - q).max())
-    raise MaxIterExceeded(
-        f"residual {residual:.3e} after {max_iter} improvements",
-        residual=residual, iterations=max_iter)
+        adv = response
+    residual = float(np.abs(policy_backup(q, spec, pi_h) - q).max())
+    raise MaxIterExceeded(f"residual {residual:.3e} after {max_iter} "
+                          "adversary improvements", residual, max_iter)
+
+
+def policy_iteration(spec: GameSpec, max_iter: int = DEFAULT_MAX_ITER
+                     ) -> Iterator[Tuple[DetPolicy, np.ndarray]]:
+    """Yield ``(pi_h, solve(spec, pi_h))`` from the all-zeros policy on,
+    each policy ``improve_policy`` of the last, up to the first greedy on
+    its own table, whose table is the max-min one.  Raises MaxIterExceeded
+    after ``max_iter`` improvements."""
+    pi_h = DetPolicy.constant(spec.n_states, 0, PROTAGONIST)
+    for _ in range(max_iter + 1):
+        q = solve(spec, pi_h, max_iter)
+        yield pi_h, q
+        improved = improve_policy(q, pi_h)
+        if np.array_equal(improved.action, pi_h.action):
+            return
+        pi_h = improved
+    residual = float(np.abs(optimal_backup(q, spec) - q).max())
+    raise MaxIterExceeded(f"residual {residual:.3e} after {max_iter} "
+                          "protagonist improvements", residual, max_iter)
 
 
 def improve_policy(q: np.ndarray, pi_h: DetPolicy) -> DetPolicy:

@@ -215,7 +215,7 @@ def test_verify_detects_corrupted_safety_table(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("fault", ["missing", "duplicate", "index_99",
-                                   "index_minus_1"])
+                                   "index_minus_1", "header_only", "empty"])
 def test_verify_rejects_malformed_safety_table(tmp_path, capsys, fault):
     cells = [[x, u, a] for x in range(16) for u in range(5) for a in range(5)]
     if fault == "missing":
@@ -224,17 +224,21 @@ def test_verify_rejects_malformed_safety_table(tmp_path, capsys, fault):
         cells[-1] = cells[0]
     elif fault == "index_99":
         cells[-1][0] = 99
-    else:
+    elif fault == "index_minus_1":
         cells[-1][0] = -1
+    else:
+        cells = []
     qh = tmp_path / "qh.csv"
-    qh.write_text("x,u,a,value\n"
+    qh.write_text("" if fault == "empty" else "x,u,a,value\n"
                   + "".join(f"{x},{u},{a},0.5\n" for x, u, a in cells))
-    code = cli.main(["verify", "--grid", "4x4", "--hazard", "0,0",
-                     "--pairs", "5", "--qh", str(qh)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the error line is all stderr gets
+        code = cli.main(["verify", "--grid", "4x4", "--hazard", "0,0",
+                         "--pairs", "5", "--qh", str(qh)])
     captured = capsys.readouterr()
     assert code == 1
-    assert captured.err.startswith("error: ") and "qh.csv" in captured.err
-    assert captured.out == ""
+    assert captured.err.startswith(f"error: {qh}: ")
+    assert captured.err.count("\n") == 1 and captured.out == ""
 
 
 def _write_rows(fh, q, prefix=""):
@@ -360,6 +364,22 @@ def test_config_file_precedence(tmp_path):
     config.write_text("[1, 2]")
     assert cli.main(["--config", str(config), "solve", "--random",
                      "--out", str(out_c)]) == 1
+
+
+@pytest.mark.parametrize("form", [["--config", "{}"], ["--conf", "{}"],
+                                  ["--conf={}"], ["--c", "{}"]],
+                         ids=["config", "conf", "conf=", "c"])
+def test_config_option_abbreviations_read_the_file(tmp_path, form):
+    # argparse accepts unambiguous prefixes of --config; each must load it
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"seed": 2}))
+    argv = [token.format(config) for token in form]
+    assert cli.main(argv + ["solve", "--random",
+                            "--out", str(tmp_path / "a")]) == 0
+    assert cli.main(["solve", "--random", "--seed", "2",
+                     "--out", str(tmp_path / "b")]) == 0
+    assert ((tmp_path / "a" / "qh.csv").read_bytes()
+            == (tmp_path / "b" / "qh.csv").read_bytes())
 
 
 def test_the_last_config_file_counts(tmp_path):

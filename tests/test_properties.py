@@ -140,6 +140,10 @@ def test_dual_iteration_matches_the_induced_game(spec):
     if not trace.budget_exhausted:
         assert trace.steps[-1].task_residual <= cfg.tol
         assert trace.final_constrained_residual <= cfg.tol
+        # the safety side ends on the max-min solve's own steps
+        assert np.array_equal(result.q_h, safety.solve(spec))
+        improved = safety.improve_policy(result.q_h, result.pi_h)
+        assert np.array_equal(improved.action, result.pi_h.action)
     inv = result.invariant_set
     cells = np.broadcast_to(inv.member[:, None, None]
                             & inv.admissible[:, :, None], spec.shape)

@@ -97,8 +97,9 @@ def test_fixed_point_from_zeros(g1, g2):
 
 
 def test_fixed_point_budget_exhaustion():
-    # The exact solve caps improvements; value iteration caps sweeps.
-    spec = make_random_spec(0, gamma_h=0.999)
+    # The exact solve caps each player's improvements; value iteration caps
+    # sweeps.  This game needs three improvements of one player.
+    spec = make_random_spec(0, n_states=30, gamma_h=0.999)
 
     def solves_within(budget):
         try:
