@@ -11,7 +11,9 @@ Exit codes: 0 success, 1 I/O, schema or flag-value error, or a numerical
 failure of a matrix-game LP (printed as ``error: numerical failure: ...``),
 2 infeasible game (the returned invariant set is empty), 3 a player's
 improvement budget in the safety policy iteration or a task evaluation's
-sweep budget ran out (a task discount near 1 can exhaust the latter),
+sweep budget ran out (a task discount near 1 can exhaust the latter), or
+in ``verify`` the induced-game oracle's fixed budget of 100,000 Shapley
+sweeps did (``oracle.INDUCED_MAX_ITER``; a discount near 1 again),
 4 verification property failed.
 Diagnostics go to stderr; data goes to files or stdout.
 """
@@ -369,10 +371,11 @@ def build_parser(config=None) -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="run the dual iteration and export artifacts")
     _add_source_args(p_solve)
     p_solve.add_argument("--out", required=True, help="output directory")
-    p_solve.add_argument("--m", type=int, default=30, help="outer iterations")
-    p_solve.add_argument("--n", type=int, default=2,
+    p_solve.add_argument("--m", type=int, default=dpi.DpiConfig.m,
+                         help="outer iterations")
+    p_solve.add_argument("--n", type=int, default=dpi.DpiConfig.n,
                          help="safety rounds per outer iteration")
-    p_solve.add_argument("--tol", type=float, default=1e-10,
+    p_solve.add_argument("--tol", type=float, default=dpi.DpiConfig.tol,
                          help="exit bound on the task table's residual "
                               "(safety solves are exact)")
     p_solve.add_argument("--max-iter", type=int, default=safety.DEFAULT_MAX_ITER,
@@ -386,9 +389,10 @@ def build_parser(config=None) -> argparse.ArgumentParser:
     p_verify.add_argument("--pairs", type=int, default=200,
                           help="random pairs per operator property")
     p_verify.add_argument("--qh", metavar="PATH", default=None,
-                          help="check a stored safety table instead of "
-                               "solving one")
-    p_verify.add_argument("--tol", type=float, default=1e-10,
+                          help="judge the invariant set of a stored safety "
+                               "table in sign certification; the other "
+                               "checks still judge the dual iteration's")
+    p_verify.add_argument("--tol", type=float, default=dpi.DpiConfig.tol,
                           help="exit bound of the dual iteration, as in "
                                "solve, and the oracle's sweep stop")
     p_verify.set_defaults(func=cmd_verify)

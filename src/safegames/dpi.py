@@ -19,13 +19,15 @@ the task policy (a point mass on the safety action off the member set),
 and the values give the table's residual ||r + gamma * value[x'] - q||
 under the restricted backup.  The step after it is one safeguarded Newton
 step of Pollatschek and Avi-Itzhak (1969), ``perf.newton_step``: the pair
-of row and column strategies is evaluated from the current w, and within
-one restricted game, after the first step from w = 0, the safeguard
-accepts a step only when it contracts the residual by gamma.  A step whose
-safety rounds switched actions starts a new restricted game and is taken
-in full.  The loop exits once a step's safety rounds switch nothing and the
-residual is at most ``tol``, so ``tol`` bounds the returned table's
-residual; ``verify`` certifies that table against the Shapley oracle.
+of row and column strategies is evaluated from the current w.  Every step
+after the first one, from w = 0, passes the safeguard whether or not its
+safety rounds switched actions: it must contract the residual by gamma, or
+it is shortened and at last replaced by one restricted backup.  The
+invariant set and the restricted game's rows are rebuilt only after a
+switch, the only time the safety table changes.  The loop exits once a
+step's safety rounds switch nothing and the residual is at most ``tol``,
+so ``tol`` bounds the returned table's residual; ``verify`` certifies that
+table against the Shapley oracle.
 
 The matrix games model simultaneous play: the adversary responds to the
 policy mixture rather than to the realized action.  On member states the
@@ -110,8 +112,9 @@ def run(spec: GameSpec, cfg: DpiConfig = DpiConfig(),
         switched = False
         for pi_h, q_h in itertools.islice(safety_steps, cfg.n):
             switched = True
-        inv = safety.extract_invariant_set(q_h, spec)
+        # q_h, and with it the set and the rows, change only on a switch.
         if k == 0 or switched:
+            inv = safety.extract_invariant_set(q_h, spec)
             rows = inv.admissible.copy()
             off = ~inv.member
             rows[off, pi_h.action[off]] = True
@@ -119,12 +122,8 @@ def run(spec: GameSpec, cfg: DpiConfig = DpiConfig(),
         if k == 0:
             newton, games = 0.0, perf.restricted_games(spec, w, rows)
         else:
-            # The zero start is no table to protect: the first Newton step
-            # from it is taken in full, like the first one in a new
-            # restricted game.
             w, newton, games = perf.newton_step(
-                spec, rows, w, games, cfg.tol, max_iter, first=k == 1,
-                checked=not (k == 1 or switched))
+                spec, rows, w, games, cfg.tol, max_iter, first=k == 1)
         q, s, _, values, residual = games
 
         if prev_q_h is None:
@@ -151,7 +150,7 @@ def run(spec: GameSpec, cfg: DpiConfig = DpiConfig(),
             "the returned invariant set is empty")
     change = np.abs(spec.reward + spec.gamma * values[spec.transition] - q)
     trace.final_constrained_residual = float(change.max(
-        where=(inv.member[:, None] & inv.admissible)[:, :, None], initial=0.0))
+        where=inv.admissible[:, :, None], initial=0.0))
 
     return DpiResult(pi=MixedPolicy(s), pi_h=pi_h, q=q, q_h=q_h, trace=trace,
                      invariant_set=inv)

@@ -4,7 +4,9 @@ Everything here recomputes values from first principles: exact undiscounted
 trajectory minima, exhaustive enumeration over deterministic policy pairs,
 standalone discounted value iteration, Shapley-style iteration on the induced
 game, and set iteration for the exact viability kernel.  These functions
-share the game data model with the engines but none of their backup code.
+share the game data model with the engines but none of their backup code;
+they trust its checks, among them that an ``InvariantSet``'s members are
+exactly its states with an admissible action.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .game import DetPolicy, GameSpec
 from .safety import InvariantSet
 
 ENUM_BUDGET = 10_000_000
+INDUCED_MAX_ITER = 100_000  # Shapley sweeps of ``solve_induced_game``
 
 
 def trajectory_min_constraint(spec: GameSpec, x0: int, u0: int, a0: int,
@@ -103,7 +106,7 @@ def discounted_sweep(spec: GameSpec, gammas: Iterable[float],
 
 
 def solve_induced_game(spec: GameSpec, inv: InvariantSet,
-                       tol: float = 1e-10, max_iter: int = 100_000) -> np.ndarray:
+                       tol: float = 1e-10) -> np.ndarray:
     """Solve the restricted game from scratch by Shapley iteration.
 
     Builds the induced game (member states, admissible rows) explicitly and
@@ -111,11 +114,12 @@ def solve_induced_game(spec: GameSpec, inv: InvariantSet,
     solves all member games in one ``matrix_game.solve_all`` batch.  The
     sweeps stop once one moves the values by at most ``tol``, or by no less
     than the sweep before it: the moves of a contraction shrink until
-    rounding stalls them, and the stalled sweep is not taken.  Only
-    member rows with admissible actions are meaningful in the returned
+    rounding stalls them, and the stalled sweep is not taken.  Only the
+    admissible rows (all at member states) are meaningful in the returned
     table; other cells are zero.  Raises NonMemberSuccessor, naming the
     first exit ``find_invariance_violations`` reports, when the set is not
-    closed under its admissible actions.
+    closed under its admissible actions, and MaxIterExceeded after
+    ``INDUCED_MAX_ITER`` sweeps without stopping.
     """
     violations, _ = find_invariance_violations(spec, inv)
     if violations:
@@ -129,7 +133,7 @@ def solve_induced_game(spec: GameSpec, inv: InvariantSet,
     reward, successors = spec.reward[members], spec.transition[members]
     values = np.zeros(spec.n_states)
     last = np.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, INDUCED_MAX_ITER + 1):
         new_values = values.copy()
         payoff = reward + spec.gamma * values[successors]
         new_values[members] = matrix_game.solve_all(payoff, admissible)[1]
@@ -141,12 +145,11 @@ def solve_induced_game(spec: GameSpec, inv: InvariantSet,
             break
     else:
         raise MaxIterExceeded(
-            f"induced game residual {residual:.3e} after {max_iter} sweeps",
-            residual=residual, iterations=max_iter)
+            f"induced game residual {residual:.3e} after {INDUCED_MAX_ITER} "
+            "sweeps", residual=residual, iterations=INDUCED_MAX_ITER)
 
-    cells = inv.member[:, None, None] & inv.admissible[:, :, None]
-    return np.where(cells, spec.reward + spec.gamma * values[spec.transition],
-                    0.0)
+    return np.where(inv.admissible[:, :, None],
+                    spec.reward + spec.gamma * values[spec.transition], 0.0)
 
 
 def viability_kernel(spec: GameSpec) -> np.ndarray:
@@ -176,8 +179,8 @@ def find_invariance_violations(spec: GameSpec, inv: InvariantSet
     successor) in (x, u, a) order and ``explored``, the number of admissible
     transitions scanned.
     """
-    rows = inv.member[:, None] & inv.admissible
-    exits = np.argwhere(rows[:, :, None] & ~inv.member[spec.transition])
+    exits = np.argwhere(inv.admissible[:, :, None]
+                        & ~inv.member[spec.transition])
     violations = [(int(x), int(u), int(a), int(spec.transition[x, u, a]))
                   for x, u, a in exits]
-    return violations, int(rows.sum()) * spec.n_a
+    return violations, int(inv.admissible.sum()) * spec.n_a

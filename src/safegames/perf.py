@@ -54,27 +54,18 @@ def minimax_policy_backup(q: np.ndarray, spec: GameSpec, pi: MixedPolicy) -> np.
     return spec.reward + spec.gamma * state_value(q, pi)[spec.transition]
 
 
-def member_games(q: np.ndarray,
-                 inv: InvariantSet) -> Tuple[np.ndarray, np.ndarray]:
-    """Matrix game over the admissible rows at each member state, all in
-    one ``matrix_game.solve_all`` batch.
-
-    Returns the per-state optimal strategy and value: the LP solution on
-    member states, zero strategy rows and NaN values elsewhere.
-    """
-    return matrix_game.solve_all(q, inv.admissible & inv.member[:, None])[:2]
-
-
 def constrained_backup(q: np.ndarray, spec: GameSpec, inv: InvariantSet) -> np.ndarray:
-    """Backup on the induced game: member states, admissible actions only.
+    """Backup on the induced game: member states, admissible actions only,
+    backing up the values of the member states' matrix games over their
+    admissible rows, all in one ``matrix_game.solve_all`` batch.
 
     Rows outside the member set (and inadmissible rows at member states) are
     left untouched; their values are owned by the safety side.  Raises
     NonMemberSuccessor if an admissible action can leave the member set,
     which signals a stale invariant set.
     """
-    _, values = member_games(q, inv)
-    cells = (inv.member[:, None] & inv.admissible)[:, :, None]
+    values = matrix_game.solve_all(q, inv.admissible)[1]
+    cells = inv.admissible[:, :, None]
     leaves = cells & ~inv.member[spec.transition]
     if leaves.any():
         x, u, a = np.argwhere(leaves)[0]
@@ -82,13 +73,6 @@ def constrained_backup(q: np.ndarray, spec: GameSpec, inv: InvariantSet) -> np.n
             f"admissible action {u} at member state {x} reaches "
             f"non-member state {spec.transition[x, u, a]}")
     return np.where(cells, spec.reward + spec.gamma * values[spec.transition], q)
-
-
-def constrained_residual(q: np.ndarray, spec: GameSpec,
-                         inv: InvariantSet) -> float:
-    """Sup-norm change of ``q`` under one ``constrained_backup``, which
-    leaves every cell off the induced game untouched."""
-    return float(np.abs(constrained_backup(q, spec, inv) - q).max())
 
 
 def evaluate_pair(spec: GameSpec, row: np.ndarray, column: np.ndarray,
@@ -138,8 +122,7 @@ def restricted_games(spec: GameSpec, w: np.ndarray,
 
 def newton_step(spec: GameSpec, rows: np.ndarray, w: np.ndarray,
                 games: RestrictedGames, tol: float, max_iter: int,
-                first: bool, checked: bool
-                ) -> Tuple[np.ndarray, float, RestrictedGames]:
+                first: bool) -> Tuple[np.ndarray, float, RestrictedGames]:
     """One safeguarded Newton step on the restricted game ``rows`` from the
     state vector ``w``, whose table's LP batch is ``games`` (its row mask
     may be an earlier one).
@@ -148,12 +131,13 @@ def newton_step(spec: GameSpec, rows: np.ndarray, w: np.ndarray,
     and column strategies of ``games`` by ``evaluate_pair`` from ``w``, to
     a sweep move of max(tol, 1e-3 * residual), or of tol on the ``first``
     step, from w = 0, where on a game without choices that one evaluation
-    is the answer; sweeps also stop where rounding stalls them.  Unless
-    ``checked``, that full step is taken.  Otherwise a safeguard in the
-    spirit of Filar and Tolwinski (1991) accepts a step only when its
-    residual is at most gamma times that of ``games``: its length halves
-    from 1 while it is at least 1 - gamma, and a shorter step promises less
-    than the restricted backup w <- value, which always qualifies.  Returns the new state vector, the accepted step length (0
+    is the answer; sweeps also stop where rounding stalls them.  The first
+    step is taken in full: the zero start is no table to protect.  After
+    it, a safeguard in the spirit of Filar and Tolwinski (1991) accepts a
+    step only when its residual is at most gamma times that of ``games``:
+    its length halves from 1 while it is at least 1 - gamma, and a shorter
+    step promises less than the restricted backup w <- value, which always
+    qualifies.  Returns the new state vector, the accepted step length (0
     for the backup) and its ``restricted_games``.
     """
     stop = tol if first else max(tol, 1e-3 * games.residual)
@@ -162,7 +146,7 @@ def newton_step(spec: GameSpec, rows: np.ndarray, w: np.ndarray,
     while length >= 1.0 - spec.gamma:
         trial = w + length * (target - w)
         result = restricted_games(spec, trial, rows)
-        if not checked or result.residual <= spec.gamma * games.residual:
+        if first or result.residual <= spec.gamma * games.residual:
             return trial, length, result
         length /= 2
     return games.values, 0.0, restricted_games(spec, games.values, rows)

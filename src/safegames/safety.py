@@ -209,11 +209,18 @@ class InvariantSet:
 
     ``admissible[x, u]`` holds iff action u keeps the worst-case safety value
     at or above the extraction threshold and every adversary reply inside
-    the set; ``member[x]`` holds iff some action is admissible.
+    the set; ``member[x]`` holds iff some action is admissible, so
+    ``admissible`` is the induced game's row mask.  Construction raises
+    ValueError otherwise.
     """
 
     member: np.ndarray      # (n_states,) bool
     admissible: np.ndarray  # (n_states, n_u) bool
+
+    def __post_init__(self):
+        if not np.array_equal(self.member, self.admissible.any(axis=1)):
+            raise ValueError("members must be exactly the states with an "
+                             "admissible action")
 
     def member_count(self) -> int:
         return int(self.member.sum())

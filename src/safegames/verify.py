@@ -24,6 +24,7 @@ from .game import ADVERSARY, PROTAGONIST, DetPolicy, GameSpec, MixedPolicy
 
 _FLOAT_SLACK = 1e-12
 _BLOCK = 16  # pairs per union game of the operator checks; bounds memory
+INCLUSION_POLICIES = 10  # random protagonist policies of set inclusion
 
 
 @dataclass(frozen=True)
@@ -112,19 +113,19 @@ def monotonicity_check(spec: GameSpec, pairs: int = 200, seed: int = 0) -> Prope
 
 
 def set_inclusion_check(spec: GameSpec, optimal: safety.InvariantSet,
-                        n_policies: int = 10, seed: int = 0) -> PropertyResult:
+                        seed: int = 0) -> PropertyResult:
     """Policy sets nest inside the optimal set inside the constraint set."""
     rng = np.random.default_rng(seed)
     in_constraint = spec.constraint >= 0.0
     ok = bool((~optimal.member | in_constraint).all())
-    for _ in range(n_policies):
+    for _ in range(INCLUSION_POLICIES):
         pi_h = DetPolicy(rng.integers(0, spec.n_u, spec.n_states), PROTAGONIST)
         q_pi = safety.solve(spec, pi_h)
         member = safety.extract_invariant_set(q_pi, spec).member
         ok = ok and bool((~member | optimal.member).all())
     return PropertyResult(
         "set_inclusion", ok,
-        f"{n_policies} random policies nested inside the optimal set")
+        f"{INCLUSION_POLICIES} random policies nested inside the optimal set")
 
 
 def sign_certification_check(spec: GameSpec,
@@ -150,7 +151,7 @@ def forward_invariance_check(spec: GameSpec,
 
 def induced_agreement_check(spec: GameSpec,
                             engine: Optional[dpi.DpiResult],
-                            tol: float = 1e-10,
+                            tol: float = dpi.DpiConfig.tol,
                             atol: float = 1e-7) -> PropertyResult:
     """The task table ``solve`` ships must match the standalone induced-game
     solve on the member cells of its invariant set.
@@ -167,11 +168,11 @@ def induced_agreement_check(spec: GameSpec,
     inv, trace = engine.invariant_set, engine.trace
     rho_engine = trace.final_constrained_residual
     independent = oracle.solve_induced_game(spec, inv, tol)
-    rho_oracle = perf.constrained_residual(independent, spec, inv)
+    rho_oracle = float(np.abs(perf.constrained_backup(independent, spec, inv)
+                              - independent).max())
     bound = max(atol, (rho_engine + rho_oracle) / (1.0 - spec.gamma))
-    cells = inv.member[:, None, None] & inv.admissible[:, :, None]
     gap = float(np.abs((engine.q - independent)[
-        np.broadcast_to(cells, spec.shape)]).max())
+        np.broadcast_to(inv.admissible[:, :, None], spec.shape)]).max())
     exhausted = ", budget exhausted" if trace.budget_exhausted else ""
     return PropertyResult(
         "induced_agreement", gap <= bound,
@@ -182,7 +183,7 @@ def induced_agreement_check(spec: GameSpec,
 
 def run_all(spec: GameSpec, pairs: int = 200, seed: int = 0,
             q_h: Optional[np.ndarray] = None,
-            tol: float = 1e-10) -> List[PropertyResult]:
+            tol: float = dpi.DpiConfig.tol) -> List[PropertyResult]:
     """Run every cross-check.  After the operator checks, ``dpi.run`` with
     ``solve``'s defaults and exit bound ``tol`` runs once; the set checks
     take its invariant set (empty when it raises InfeasibleGame), except

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from safegames import cli, dpi, oracle, perf, safety
+from safegames import cli, dpi, matrix_game, oracle, safety
 from safegames.cli import SchemaError, load_game
 from safegames.envs import RandomGameParams, random_game
 from conftest import push_grid_hazards, save_game
@@ -159,7 +159,8 @@ def test_grid_artifacts_agree_with_the_returned_set(tmp_path, monkeypatch):
     pixels = (tmp_path / "set.pgm").read_bytes()[len(b"P5\n32 32\n255\n"):]
     assert np.array_equal(np.frombuffer(pixels, np.uint8),
                           np.where(member, 255, 0))
-    strategy, _ = perf.member_games(result.q, result.invariant_set)
+    strategy = matrix_game.solve_all(result.q,
+                                     result.invariant_set.admissible)[0]
     task = np.array(policy["task_policy"])
     assert np.array_equal(task[member], strategy[member])
 

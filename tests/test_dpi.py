@@ -178,6 +178,22 @@ def test_residual_safeguard_recovers_from_a_cycling_newton_step():
     assert result.trace.final_constrained_residual <= 1e-11
 
 
+def test_safeguard_checks_steps_that_switch_the_safety_policy():
+    # Step 2 switches the safety policy.  Taken in full, it raised the
+    # residual from 7.83 to 9.96, above gamma times 7.83.
+    spec = make_random_spec(3, n_states=100, n_u=4, n_a=2,
+                            hazard_fraction=0.2)
+    result = dpi.run(spec, DpiConfig(n=1))
+    steps = result.trace.steps
+    assert steps[2].safety_delta > 0.0
+    assert not result.trace.budget_exhausted
+    # Every Newton step after the first cuts the residual by gamma; a
+    # backup step (newton 0) is exempt.
+    for prev, cur in zip(steps[1:], steps[2:]):
+        if cur.newton > 0:
+            assert cur.task_residual <= spec.gamma * prev.task_residual
+
+
 def test_pair_evaluation_stops_when_rounding_stalls_it():
     # Values near 1e12 round to 2**-13, far above the tolerance, so the
     # sweeps stop where rounding stalls them instead of running out.

@@ -129,7 +129,7 @@ def test_certificate_tolerance_scales_with_the_payoffs():
 def _recorded_batches(spec, monkeypatch):
     """The (payoff, admissible) arguments of every ``matrix_game.solve_all``
     call in one ``dpi.run`` (each outer step's restricted games), then of
-    the member games in the constrained residual of its returned table."""
+    the member games in one constrained backup of its returned table."""
     calls = []
     real = matrix_game.solve_all
 
@@ -139,7 +139,7 @@ def _recorded_batches(spec, monkeypatch):
 
     monkeypatch.setattr(matrix_game, "solve_all", record)
     result = dpi.run(spec, DpiConfig())
-    perf.constrained_residual(result.q, spec, result.invariant_set)
+    perf.constrained_backup(result.q, spec, result.invariant_set)
     monkeypatch.undo()
     return calls
 

@@ -122,9 +122,9 @@ def test_constrained_fixed_point_matches_the_induced_game(spec):
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=30)
-@given(games(rewarded=True))
-def test_dual_iteration_matches_the_induced_game(spec):
-    cfg = DpiConfig()
+@given(games(rewarded=True), st.sampled_from([1, 2]))
+def test_dual_iteration_matches_the_induced_game(spec, n):
+    cfg = DpiConfig(n=n)
     try:
         result = dpi.run(spec, cfg)
     except InfeasibleGame:
@@ -136,6 +136,10 @@ def test_dual_iteration_matches_the_induced_game(spec):
     trace = result.trace
     counts = [s.member_count for s in trace.steps]
     assert counts == sorted(counts)
+    # every Newton step after the first cuts the residual by gamma
+    for prev, cur in zip(trace.steps[1:], trace.steps[2:]):
+        if cur.newton > 0:
+            assert cur.task_residual <= spec.gamma * prev.task_residual
     assert np.isfinite(trace.final_constrained_residual)
     if not trace.budget_exhausted:
         assert trace.steps[-1].task_residual <= cfg.tol

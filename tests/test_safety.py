@@ -201,6 +201,17 @@ def test_extract_invariant_set_closes_the_sign_test(chain):
     assert inv.admissible[0].tolist() == [False, True]
 
 
+def test_invariant_set_members_are_the_states_with_an_admissible_action():
+    admissible = np.array([[True, False], [False, False]])
+    safety.InvariantSet(np.array([True, False]), admissible)
+    # a member without an admissible action
+    with pytest.raises(ValueError):
+        safety.InvariantSet(np.array([True, True]), admissible)
+    # an admissible action at a non-member
+    with pytest.raises(ValueError):
+        safety.InvariantSet(np.array([False, False]), admissible)
+
+
 def test_feasibility_anchors(g1, g2, g3):
     def feasible(spec):
         q = safety.solve(spec)
