@@ -12,8 +12,8 @@ failure of a matrix-game LP (printed as ``error: numerical failure: ...``),
 2 infeasible game (the returned invariant set is empty), 3 a player's
 improvement budget in the safety policy iteration or a task evaluation's
 sweep budget ran out (a task discount near 1 can exhaust the latter), or
-in ``verify`` the induced-game oracle's fixed budget of 100,000 Shapley
-sweeps did (``oracle.INDUCED_MAX_ITER``; a discount near 1 again),
+in ``verify`` the induced-game oracle's fixed budget of 1,000 strategy
+iterations did (``oracle.INDUCED_MAX_ITER``),
 4 verification property failed.
 Diagnostics go to stderr; data goes to files or stdout.
 """
@@ -394,7 +394,7 @@ def build_parser(config=None) -> argparse.ArgumentParser:
                                "checks still judge the dual iteration's")
     p_verify.add_argument("--tol", type=float, default=dpi.DpiConfig.tol,
                           help="exit bound of the dual iteration, as in "
-                               "solve, and the oracle's sweep stop")
+                               "solve, and the oracle's iteration stop")
     p_verify.set_defaults(func=cmd_verify)
 
     p_sweep = sub.add_parser("sweep", help="export exact max-min safety tables "

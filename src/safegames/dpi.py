@@ -27,7 +27,7 @@ invariant set and the restricted game's rows are rebuilt only after a
 switch, the only time the safety table changes.  The loop exits once a
 step's safety rounds switch nothing and the residual is at most ``tol``,
 so ``tol`` bounds the returned table's residual; ``verify`` certifies that
-table against the Shapley oracle.
+table against the strategy-iteration oracle.
 
 The matrix games model simultaneous play: the adversary responds to the
 policy mixture rather than to the realized action.  On member states the

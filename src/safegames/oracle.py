@@ -2,11 +2,11 @@
 
 Everything here recomputes values from first principles: exact undiscounted
 trajectory minima, exhaustive enumeration over deterministic policy pairs,
-standalone discounted value iteration, Shapley-style iteration on the induced
-game, and set iteration for the exact viability kernel.  These functions
-share the game data model with the engines but none of their backup code;
-they trust its checks, among them that an ``InvariantSet``'s members are
-exactly its states with an admissible action.
+standalone discounted value iteration, Hoffman-Karp strategy iteration on
+the induced game, and set iteration for the exact viability kernel.  These
+functions share the game data model with the engines but none of their
+backup code; they trust its checks, among them that an ``InvariantSet``'s
+members are exactly its states with an admissible action.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .game import DetPolicy, GameSpec
 from .safety import InvariantSet
 
 ENUM_BUDGET = 10_000_000
-INDUCED_MAX_ITER = 100_000  # Shapley sweeps of ``solve_induced_game``
+INDUCED_MAX_ITER = 1_000  # strategy iterations of ``solve_induced_game``
 
 
 def trajectory_min_constraint(spec: GameSpec, x0: int, u0: int, a0: int,
@@ -107,19 +107,23 @@ def discounted_sweep(spec: GameSpec, gammas: Iterable[float],
 
 def solve_induced_game(spec: GameSpec, inv: InvariantSet,
                        tol: float = 1e-10) -> np.ndarray:
-    """Solve the restricted game from scratch by Shapley iteration.
+    """Solve the restricted game from scratch by strategy iteration.
 
     Builds the induced game (member states, admissible rows) explicitly and
-    iterates per-state matrix-game values to a fixed point; each sweep
-    solves all member games in one ``matrix_game.solve_all`` batch.  The
-    sweeps stop once one moves the values by at most ``tol``, or by no less
-    than the sweep before it: the moves of a contraction shrink until
-    rounding stalls them, and the stalled sweep is not taken.  Only the
-    admissible rows (all at member states) are meaningful in the returned
-    table; other cells are zero.  Raises NonMemberSuccessor, naming the
-    first exit ``find_invariance_violations`` reports, when the set is not
-    closed under its admissible actions, and MaxIterExceeded after
-    ``INDUCED_MAX_ITER`` sweeps without stopping.
+    runs the strategy iteration of Hoffman and Karp (1966).  Each iteration
+    solves all member games at the current member values in one
+    ``matrix_game.solve_all`` batch, whose row strategies s the protagonist
+    then fixes; the new values are those of s against the adversary's exact
+    best response (``_best_response``).  From the second iteration on these
+    values rise in exact arithmetic, so the iterations stop without taking
+    the new values once one falls by more than ``floor``, 16 machine
+    epsilons times the largest |value|, and otherwise once none moves by
+    more than ``tol`` or ``floor``.  Only the admissible rows (all at member
+    states) are meaningful in the returned table; other cells are zero.
+    Raises NonMemberSuccessor, naming the first exit
+    ``find_invariance_violations`` reports, when the set is not closed
+    under its admissible actions, and MaxIterExceeded after
+    ``INDUCED_MAX_ITER`` iterations without stopping.
     """
     violations, _ = find_invariance_violations(spec, inv)
     if violations:
@@ -130,26 +134,70 @@ def solve_induced_game(spec: GameSpec, inv: InvariantSet,
 
     members = np.flatnonzero(inv.member)
     admissible = inv.admissible[members]
-    reward, successors = spec.reward[members], spec.transition[members]
-    values = np.zeros(spec.n_states)
-    last = np.inf
+    reward = spec.reward[members]
+    # member-local successors; inadmissible rows, which may leave, get 0
+    local = np.where(admissible[:, :, None],
+                     (np.cumsum(inv.member) - 1)[spec.transition[members]], 0)
+    values, response = np.zeros(members.size), np.zeros(members.size, int)
     for it in range(1, INDUCED_MAX_ITER + 1):
-        new_values = values.copy()
-        payoff = reward + spec.gamma * values[successors]
-        new_values[members] = matrix_game.solve_all(payoff, admissible)[1]
-        residual = float(np.abs(new_values - values).max())
-        if residual >= last:
+        s = matrix_game.solve_all(reward + spec.gamma * values[local],
+                                  admissible)[0]
+        new_values, response = _best_response(s, reward, local, spec.gamma,
+                                               response)
+        floor = _floor(new_values)
+        move = new_values - values
+        residual = float(np.abs(move).max(initial=0))
+        if it > 1 and move.min() < -floor:
             break
-        values, last = new_values, residual
-        if residual <= tol:
+        values = new_values
+        if residual <= max(tol, floor):
             break
     else:
         raise MaxIterExceeded(
             f"induced game residual {residual:.3e} after {INDUCED_MAX_ITER} "
-            "sweeps", residual=residual, iterations=INDUCED_MAX_ITER)
+            "iterations", residual=residual, iterations=INDUCED_MAX_ITER)
 
+    full = np.zeros(spec.n_states)
+    full[members] = values
     return np.where(inv.admissible[:, :, None],
-                    spec.reward + spec.gamma * values[spec.transition], 0.0)
+                    spec.reward + spec.gamma * full[spec.transition], 0.0)
+
+
+def _floor(values: np.ndarray) -> float:
+    """16 machine epsilons times the largest |value|: moves below it are
+    rounding."""
+    return 16 * np.finfo(float).eps * float(np.abs(values).max(initial=0))
+
+
+def _best_response(s: np.ndarray, reward: np.ndarray, local: np.ndarray,
+                   gamma: float, response: np.ndarray):
+    """The minimizing adversary's exact best response to the row strategies
+    s (m, n_u) on the member games of ``reward`` and member-local
+    successors ``local`` (m, n_u, n_a), by policy iteration from
+    ``response``.  Each evaluation is one dense solve of
+    (I - gamma * P) v = c, with the response's transitions P built by one
+    ``np.bincount``; then each state switches when its best column improves
+    on its response by more than the values' ``_floor`` (a strict
+    improvement alone can cycle on rounding).  Returns the values and the
+    response; raises MaxIterExceeded after ``INDUCED_MAX_ITER`` evaluations
+    without settling."""
+    rows = np.arange(s.shape[0])
+    cost = np.einsum("xu,xua->xa", s, reward)
+    for _ in range(INDUCED_MAX_ITER):
+        cell = rows[:, None] * rows.size + local[rows, :, response]
+        P = np.bincount(cell.ravel(), s.ravel(), minlength=rows.size ** 2)
+        values = np.linalg.solve(
+            np.eye(rows.size) - gamma * P.reshape(rows.size, rows.size),
+            cost[rows, response])
+        q = cost + gamma * np.einsum("xu,xua->xa", s, values[local])
+        best = q.argmin(axis=1)
+        switch = q[rows, best] < q[rows, response] - _floor(values)
+        if not switch.any():
+            return values, response
+        response = np.where(switch, best, response)
+    raise MaxIterExceeded(
+        f"adversary best response still switching after {INDUCED_MAX_ITER} "
+        "policy iterations", iterations=INDUCED_MAX_ITER)
 
 
 def viability_kernel(spec: GameSpec) -> np.ndarray:

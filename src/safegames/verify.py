@@ -7,8 +7,9 @@ one result.  Set inclusion and forward invariance take its invariant set.
 Sign certification compares that set (or the ``--qh`` table's) with the
 exact viability kernel of the undiscounted game
 (``oracle.viability_kernel``).  Induced agreement takes its task table and
-the oracle's from Shapley iteration on its invariant set, and accepts a
-gap that both tables' certified distances to the fixed point explain.
+the oracle's from strategy iteration on its invariant set, and accepts a
+gap that both tables' certified distances to the fixed point, and their
+rounding, explain.
 """
 
 from __future__ import annotations
@@ -158,10 +159,22 @@ def induced_agreement_check(spec: GameSpec,
 
     ``engine`` is ``dpi.run``'s result, or None when it raised
     InfeasibleGame; its trace gives the table's constrained residual rho.
-    One constrained backup of the oracle's table (Shapley iteration to
+    One constrained backup of the oracle's table (strategy iteration to
     ``tol``) gives the oracle's rho, and the gamma-contraction puts a table
     within rho / (1 - gamma) of the fixed point, so the tables agree when
-    their gap is at most max(atol, (rho_engine + rho_oracle) / (1 - gamma)).
+    their gap is at most max(atol, (rho_engine + rho_oracle + 8 * eps * M)
+    / (1 - gamma)).
+
+    The last term is the rounding of the two residuals, which are computed
+    in doubles: one can read 0 while its table sits a few ulps off the
+    fixed point.  Let M be the largest |oracle table| over admissible cells
+    and eps the machine epsilon; rounding a number of magnitude at most 2M
+    moves it by at most eps * M.  Each computed residual takes its backup
+    r + gamma * value from two roundings (the product and the sum) and its
+    difference from the table from one more, so it can read up to
+    3 * eps * M below the exact one; the two residuals and the gap's own
+    difference make seven roundings, and 8 * eps * M covers them.  With
+    rewards in [0, 1) and gamma 0.95, M < 20 and it adds under 7.2e-13.
     """
     if engine is None:
         return PropertyResult("induced_agreement", True, "no member states")
@@ -170,9 +183,12 @@ def induced_agreement_check(spec: GameSpec,
     independent = oracle.solve_induced_game(spec, inv, tol)
     rho_oracle = float(np.abs(perf.constrained_backup(independent, spec, inv)
                               - independent).max())
-    bound = max(atol, (rho_engine + rho_oracle) / (1.0 - spec.gamma))
-    gap = float(np.abs((engine.q - independent)[
-        np.broadcast_to(inv.admissible[:, :, None], spec.shape)]).max())
+    cells = np.broadcast_to(inv.admissible[:, :, None], spec.shape)
+    rounding = 8 * np.finfo(float).eps * float(
+        np.abs(independent[cells]).max())
+    bound = max(atol,
+                (rho_engine + rho_oracle + rounding) / (1.0 - spec.gamma))
+    gap = float(np.abs((engine.q - independent)[cells]).max())
     exhausted = ", budget exhausted" if trace.budget_exhausted else ""
     return PropertyResult(
         "induced_agreement", gap <= bound,

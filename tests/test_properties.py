@@ -17,16 +17,18 @@ from hypothesis import given, settings, strategies as st
 from safegames import (DpiConfig, GameSpec, InfeasibleGame, dpi, matrix_game,
                        oracle, perf, safety, verify)
 from lp_oracle import solve_support_enumeration
+import shapley_reference
 import value_iteration
 
 
 @st.composite
-def games(draw, max_actions=3, rewarded=False):
-    """Games of at most five states and ``max_actions`` actions per player;
-    rewards lie in [-1, 1] when ``rewarded`` and are zero otherwise."""
+def games(draw, max_actions=3, rewarded=False, min_actions=1):
+    """Games of at most five states and ``min_actions`` to ``max_actions``
+    actions per player; rewards lie in [-1, 1] when ``rewarded`` and are
+    zero otherwise."""
     n = draw(st.integers(1, 5))
-    n_u = draw(st.integers(1, max_actions))
-    n_a = draw(st.integers(1, max_actions))
+    n_u = draw(st.integers(min_actions, max_actions))
+    n_a = draw(st.integers(min_actions, max_actions))
     cells = n * n_u * n_a
     transition = draw(st.lists(st.integers(0, n - 1),
                                min_size=cells, max_size=cells))
@@ -205,3 +207,44 @@ def test_batched_lp_values_match_linprog(batch):
     for b in range(payoff.shape[0]):
         reference = _linprog_value(payoff[b], np.flatnonzero(admissible[b]))
         assert abs(value[b] / scale - reference) <= 1e-9
+
+
+_SCALES = st.sampled_from((1e-6, 1e-3, 1.0, 1e3, 1e6, 1e8))
+
+
+def _residual(spec, inv, q):
+    return float(np.abs(perf.constrained_backup(q, spec, inv) - q).max())
+
+
+# Shapley iteration from zero takes about 1 / (1 - gamma) sweeps per e-fold
+# of its error, 4-6 s a game at gamma 0.999; that discount is drawn against
+# the dual iteration below.
+@pytest.mark.parametrize("gamma", [0.5, 0.9, 0.99])
+@settings(derandomize=True, database=None, deadline=None, max_examples=10)
+@given(games(rewarded=True, min_actions=2), _SCALES)
+def test_strategy_iteration_matches_shapley_iteration(gamma, spec, scale):
+    spec = dataclasses.replace(spec, reward=scale * spec.reward, gamma=gamma)
+    inv = _max_min_set(spec)
+    cells = np.broadcast_to(inv.admissible[:, :, None], spec.shape)
+    independent = oracle.solve_induced_game(spec, inv)
+    reference = shapley_reference.solve_induced_game(spec, inv)
+    rho, rho_reference = (_residual(spec, inv, independent),
+                          _residual(spec, inv, reference))
+    rounding = 8 * np.finfo(float).eps * np.abs(independent).max()
+    assert np.abs(independent - reference)[cells].max(initial=0.0) <= (
+        rho + rho_reference + rounding) / (1.0 - gamma)
+    # no further from the fixed point than Shapley's stop, up to rounding
+    assert rho <= rho_reference + rounding
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=15)
+@given(games(rewarded=True, min_actions=2), _SCALES)
+def test_dual_iteration_matches_strategy_iteration_near_discount_one(
+        spec, scale):
+    spec = dataclasses.replace(spec, reward=scale * spec.reward, gamma=0.999)
+    try:
+        result = dpi.run(spec)
+    except InfeasibleGame:
+        return
+    check = verify.induced_agreement_check(spec, result)
+    assert check.passed, check.detail

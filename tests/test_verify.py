@@ -164,7 +164,7 @@ def test_set_checks_judge_the_set_dpi_run_returns(monkeypatch):
         return verify.PropertyResult("induced_agreement", True, "recorded")
 
     monkeypatch.setattr(dpi, "run", one_state_more)
-    # the Shapley oracle refuses a set with an exit
+    # the induced-game oracle refuses a set with an exit
     monkeypatch.setattr(verify, "induced_agreement_check", recording)
     results = {r.name: r for r in verify.run_all(spec, pairs=5)}
     assert not results["sign_certification"].passed
@@ -257,8 +257,9 @@ def test_induced_agreement_checks_the_table_solve_ships():
 def test_induced_agreement_passes_at_every_reward_scale(monkeypatch, scale):
     # From 1e6 up the values' rounding alone keeps the two tables more than
     # 1e-7 apart, and from 1e5 up the absolute tol lies below it: the dual
-    # iteration runs out its step budget and the oracle stops where
-    # rounding stalls it, and the tolerance follows their residuals.
+    # iteration runs out its step budget, the oracle stops where its values
+    # stop rising by more than rounding, and the tolerance follows their
+    # residuals and the rounding of both.
     base = make_random_spec(1, n_states=8, n_u=2, n_a=2)
     spec = dataclasses.replace(base, reward=scale * base.reward)
     calls, _ = _count_batches(monkeypatch)
@@ -266,7 +267,50 @@ def test_induced_agreement_passes_at_every_reward_scale(monkeypatch, scale):
     assert result.passed, result.detail
     exhausted = "engine 30 outer steps, budget exhausted, residual"
     assert (exhausted in result.detail) == (scale >= 1e6), result.detail
-    # within seconds: at 1e8 value iteration without the stall stops runs
-    # out budgets of 200,000 (engine) and 100,000 (oracle) LP batches
+    # within seconds: a solve that stops only at the absolute tol can run
+    # out a budget of hundreds of thousands of LP batches at 1e8
     assert calls["solve_all"] <= 1_000
 
+
+@pytest.mark.parametrize("scale", [1e6, 1e8])
+@pytest.mark.parametrize("seed", [2, 5, 8, 10])
+def test_induced_agreement_passes_at_large_reward_scales(seed, scale):
+    # At 1e8 seeds 2, 8 and 10 fail a tolerance without the rounding of the
+    # two residuals, which read 0 or a few ulps.
+    base = make_random_spec(seed, n_states=8, n_u=2, n_a=2)
+    spec = dataclasses.replace(base, reward=scale * base.reward)
+    result = _induced_agreement(spec)
+    assert result.passed, result.detail
+    assert "budget exhausted" in result.detail
+
+
+def test_induced_agreement_passes_where_a_strict_switch_cycles():
+    # At rewards x1e10 the adversary's policy iteration, switching on any
+    # strict improvement, flips forever between two responses whose values
+    # differ only by rounding; a switch needs more than 16 machine epsilons
+    # times the largest |value|.
+    base = make_random_spec(55, n_states=8, n_u=2, n_a=2)
+    spec = dataclasses.replace(base, reward=1e10 * base.reward)
+    result = _induced_agreement(spec)
+    assert result.passed, result.detail
+
+
+def test_induced_agreement_finishes_near_discount_one(monkeypatch):
+    # Shapley iteration takes over 100,000 sweeps here (about 40 s, residual
+    # still 2.2e-05); strategy iteration takes a few dozen batches.
+    spec = make_random_spec(7, n_u=3, n_a=3, hazard_fraction=0, gamma=0.9999)
+    calls, _ = _count_batches(monkeypatch)
+    solve, batches = oracle.solve_induced_game, []
+
+    def counting(*args):
+        before = calls["solve_all"]
+        try:
+            return solve(*args)
+        finally:
+            batches.append(calls["solve_all"] - before)
+
+    monkeypatch.setattr(oracle, "solve_induced_game", counting)
+    results = {r.name: r for r in verify.run_all(spec, pairs=5)}
+    assert results["induced_agreement"].passed, (
+        results["induced_agreement"].detail)
+    assert len(batches) == 1 and batches[0] <= 100, batches
