@@ -95,18 +95,51 @@ def load_game(path) -> Tuple[GameSpec, Optional[list]]:
     return spec, labels
 
 
+# Cells per write of ``_write_cells``: its temporaries are bounded per block.
+_BLOCK_CELLS = 512
+
+
+def _format_distinct(values: np.ndarray):
+    """Format a float64 array's entries to 12 significant digits, each
+    distinct bit pattern once (so -0.0 keeps its sign and NaN needs no
+    case).  Returns the distinct texts as a numpy bytes array and each
+    entry's index into them, in flat order."""
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
+    distinct, inverse = np.unique(bits.ravel(), return_inverse=True)
+    text = [b"%.12g" % v for v in distinct.view(np.float64).tolist()]
+    return np.array(text, dtype=np.bytes_), inverse
+
+
+def _byte_rows(texts) -> np.ndarray:
+    """Byte strings as the rows of a NUL-padded uint8 matrix."""
+    array = np.asarray(texts, dtype=np.bytes_)
+    return array.view(np.uint8).reshape(array.size, -1)
+
+
 def _write_cells(fh, q: np.ndarray, prefix: str = "") -> None:
     """Write one CSV row per (x, u, a) cell: the indices, ``prefix`` and the
-    value to 12 significant digits.  A template of one state's rows is built
-    once per table (so ``prefix`` must hold no braces), and each state is one
-    write of it, formatted with x and that state's values.  One state's
-    values at a time become Python floats, which format like numpy's, so the
-    writer streams in O(n_u * n_a) memory."""
-    n_u, n_a = q.shape[1:]
-    rows = "".join(f"{{0}},{u},{a},{prefix}{{{u * n_a + a + 1}:.12g}}\n"
-                   for u in range(n_u) for a in range(n_a))
-    for x in range(q.shape[0]):
-        fh.write(rows.format(x, *q[x].ravel().tolist()))
+    value to 12 significant digits.  Whole states go out in blocks of at
+    most ``_BLOCK_CELLS`` cells (one state if it has more), one write per
+    block.  A block's rows are laid out as bytes in a NUL-padded matrix,
+    with each distinct value formatted once, and the padding is masked out,
+    so ``prefix`` may hold any text but NUL and the writer's memory is
+    bounded per block, whatever the table's size."""
+    n_states, n_u, n_a = q.shape
+    heads = _byte_rows([f",{u},{a},{prefix}".encode()
+                        for u in range(n_u) for a in range(n_a)])
+    step = max(1, _BLOCK_CELLS // len(heads))
+    for x0 in range(0, n_states, step):
+        xs = _byte_rows([b"%d" % x for x in range(n_states)[x0:x0 + step]])
+        text, inverse = _format_distinct(q[x0:x0 + step])
+        values = _byte_rows(text)[inverse].reshape(len(xs), len(heads), -1)
+        head_end = xs.shape[1] + heads.shape[1]
+        rows = np.zeros((len(xs), len(heads), head_end + values.shape[2] + 1),
+                        np.uint8)
+        rows[:, :, :xs.shape[1]] = xs[:, None]
+        rows[:, :, xs.shape[1]:head_end] = heads
+        rows[:, :, head_end:-1] = values
+        rows[:, :, -1] = ord("\n")
+        fh.write(rows[rows != 0].tobytes().decode())
 
 
 def write_q_csv(path, q: np.ndarray) -> None:
@@ -149,10 +182,13 @@ def write_trace_csv(path, trace: dpi.DpiTrace, n_states: int) -> None:
         fh.write("step,safety_delta,member_count,feasible,"
                  f"task_residual,task_delta,newton,{lp_cols}\n")
         for k, step in enumerate(trace.steps):
-            lp = ",".join(f"{v:.12g}" for v in step.lp_values)
-            fh.write(f"{k},{step.safety_delta:.12g},{step.member_count},"
-                     f"{int(step.member_count > 0)},{step.task_residual:.12g},"
-                     f"{step.task_delta:.12g},{step.newton:.12g},{lp}\n")
+            text, inverse = _format_distinct(np.concatenate((
+                [step.safety_delta, step.task_residual, step.task_delta,
+                 step.newton], step.lp_values)))
+            delta, *tail = text[inverse].tolist()
+            fh.write(f"{k},{delta.decode()},{step.member_count},"
+                     f"{int(step.member_count > 0)},"
+                     f"{b','.join(tail).decode()}\n")
 
 
 def write_pgm(path, inv: safety.InvariantSet, grid_shape=None) -> None:
@@ -277,6 +313,10 @@ def cmd_solve(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    # the tables first, so the policy's Python lists are not alive under
+    # the writers' peak
+    write_q_csv(out / "qh.csv", result.q_h)
+    write_q_csv(out / "q.csv", result.q)
     policy = {
         "task_policy": result.pi.prob.tolist(),
         "safety_policy": result.pi_h.action.tolist(),
@@ -288,8 +328,6 @@ def cmd_solve(args) -> int:
     with open(out / "policy.json", "w", encoding="utf-8") as fh:
         json.dump(policy, fh, sort_keys=True, indent=1)
         fh.write("\n")
-    write_q_csv(out / "qh.csv", result.q_h)
-    write_q_csv(out / "q.csv", result.q)
     write_pgm(out / "set.pgm", result.invariant_set, grid_shape)
     write_trace_csv(out / "trace.csv", result.trace, spec.n_states)
     if result.trace.budget_exhausted:

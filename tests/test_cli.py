@@ -1,14 +1,18 @@
 import dataclasses
 import io
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from safegames import cli, dpi, matrix_game, oracle, safety
 from safegames.cli import SchemaError, load_game
-from safegames.envs import RandomGameParams, random_game
+from safegames.envs import (GridworldParams, RandomGameParams,
+                             gridworld, random_game)
 from conftest import push_grid_hazards, save_game
 
 
@@ -252,16 +256,29 @@ def _write_rows(fh, q, prefix=""):
 
 
 _AWKWARD_VALUES = (-0.0, 1e-300, 1 / 3, -7.25, 1e17)
+# -0.0 beside 0.0 in one block, two NaN bit patterns and the least subnormal
+_NON_FINITE = (np.nan, -np.nan, np.inf, -np.inf, 5e-324, -0.0, 0.0)
 
 
-@pytest.mark.parametrize("shape", [(1, 1, 1), (3, 2, 4)])
+def _awkward_tables(shape):
+    """A finite table, one with non-finite values and one of long runs of
+    a single value, each of ``shape``."""
+    yield np.resize(_AWKWARD_VALUES, shape)
+    yield np.resize(_NON_FINITE + _AWKWARD_VALUES, shape)
+    yield np.resize(np.repeat(_NON_FINITE, 1000), shape)
+
+
+# the last two span several 512-cell blocks and end in a partial one
+@pytest.mark.parametrize("shape", [(1, 1, 1), (3, 2, 4), (1000, 5, 5),
+                                   (301, 6, 3)])
 def test_q_csv_writes_the_row_writers_bytes(tmp_path, shape):
+    for q in _awkward_tables(shape):
+        for prefix in ("", "0.999,"):
+            written, expected = io.StringIO(), io.StringIO()
+            cli._write_cells(written, q, prefix)
+            _write_rows(expected, q, prefix)
+            assert written.getvalue() == expected.getvalue()
     q = np.resize(_AWKWARD_VALUES, shape)
-    for prefix in ("", "0.999,"):
-        written, expected = io.StringIO(), io.StringIO()
-        cli._write_cells(written, q, prefix)
-        _write_rows(expected, q, prefix)
-        assert written.getvalue() == expected.getvalue()
     path = tmp_path / "q.csv"
     cli.write_q_csv(path, q)
     expected = io.StringIO()
@@ -273,6 +290,68 @@ def test_q_csv_writes_the_row_writers_bytes(tmp_path, shape):
     rounded = np.array([float(f"{v:.12g}") for v in q.ravel()]).reshape(shape)
     assert np.array_equal(back, rounded)
     assert np.array_equal(np.signbit(back), np.signbit(q))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(q=st.tuples(st.integers(1, 40), st.integers(1, 6), st.integers(1, 6))
+       .flatmap(lambda shape: hnp.arrays(np.float64, shape)),
+       prefix=st.sampled_from(["", "0.99,", "x{0}"]))
+def test_cells_write_the_row_writers_bytes_on_drawn_tables(q, prefix):
+    written, expected = io.StringIO(), io.StringIO()
+    cli._write_cells(written, q, prefix)
+    _write_rows(expected, q, prefix)
+    assert written.getvalue() == expected.getvalue()
+
+
+class _Discard:
+    def write(self, text):
+        pass
+
+
+def _write_peak(n_states):
+    q = np.resize(_NON_FINITE + _AWKWARD_VALUES, (n_states, 5, 5))
+    q[::7] = np.arange(q[::7].size).reshape(q[::7].shape)  # distinct runs
+    tracemalloc.start()
+    try:
+        cli._write_cells(_Discard(), q, "0.999,")
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_cells_writer_memory_is_bounded_per_block():
+    small, large = _write_peak(1024), _write_peak(16384)
+    assert large <= 1.1 * small, (small, large)
+
+
+def _write_trace_rows(path, trace, n_states):
+    """The f-string trace writer that ``cli.write_trace_csv`` replaced: the
+    reference for its bytes."""
+    lp_cols = ",".join(f"lp_value_{x}" for x in range(n_states))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("step,safety_delta,member_count,feasible,"
+                 f"task_residual,task_delta,newton,{lp_cols}\n")
+        for k, step in enumerate(trace.steps):
+            lp = ",".join(f"{v:.12g}" for v in step.lp_values)
+            fh.write(f"{k},{step.safety_delta:.12g},{step.member_count},"
+                     f"{int(step.member_count > 0)},{step.task_residual:.12g},"
+                     f"{step.task_delta:.12g},{step.newton:.12g},{lp}\n")
+
+
+@pytest.mark.parametrize("spec", [
+    gridworld(GridworldParams(width=8, height=8, goal_cell=(7, 7),
+                              hazard_cells=push_grid_hazards(8, 6))),
+    random_game(RandomGameParams(seed=3, n_states=40, n_u=4, n_a=3,
+                                 hazard_fraction=0.1)),
+], ids=["grid8x8", "random40"])
+def test_trace_csv_writes_the_row_writers_bytes(tmp_path, spec):
+    trace = dpi.run(spec, dpi.DpiConfig()).trace
+    assert len(trace.steps) > 1
+    assert any(np.isnan(step.lp_values).any() for step in trace.steps)
+    cli.write_trace_csv(tmp_path / "written.csv", trace, spec.n_states)
+    _write_trace_rows(tmp_path / "expected.csv", trace, spec.n_states)
+    assert ((tmp_path / "written.csv").read_bytes()
+            == (tmp_path / "expected.csv").read_bytes())
 
 
 def test_sweep_out_writes_the_row_writers_bytes(tmp_path, monkeypatch):
