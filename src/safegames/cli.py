@@ -7,7 +7,8 @@ integers and the arrays rectangular; unknown fields are rejected.  Q tables
 export as CSV with one row per (x, u, a) cell and 12 significant digits;
 invariant sets render as binary PGM with 255 = member, 0 = non-member.
 
-Exit codes: 0 success, 1 I/O, schema or flag-value error, or a numerical
+Exit codes: 0 success, 1 usage error (a malformed or unknown flag, printed
+as ``error: <prog>: ...``), I/O, schema or flag-value error, or a numerical
 failure of a matrix-game LP (printed as ``error: numerical failure: ...``),
 2 infeasible game (the returned invariant set is empty), 3 a player's
 improvement budget in the safety policy iteration or a task evaluation's
@@ -15,7 +16,10 @@ sweep budget ran out (a task discount near 1 can exhaust the latter), or
 in ``verify`` the induced-game oracle's fixed budget of 1,000 strategy
 iterations did (``oracle.INDUCED_MAX_ITER``),
 4 verification property failed.
-Diagnostics go to stderr; data goes to files or stdout.
+Diagnostics go to stderr; data goes to files or stdout.  Flag defaults
+are their owners' (``envs``' params, ``dpi.DpiConfig``, ``verify``), and a
+generated game keeps ``GameSpec``'s discounts unless --gamma or --gamma-h
+replaces them.
 """
 
 from __future__ import annotations
@@ -43,6 +47,14 @@ _OPTIONAL_FIELDS = ("labels",)
 
 class SchemaError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a SchemaError, so ``main`` prints it and
+    exits 1; subparsers inherit the class."""
+
+    def error(self, message):
+        raise SchemaError(f"{self.prog}: {message}")
 
 
 def _read_json(path):
@@ -219,19 +231,21 @@ def _add_source_args(parser: argparse.ArgumentParser) -> None:
     src.add_argument("--grid", metavar="WxH",
                      help="gridworld of the given size")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--states", type=int, default=8,
+    parser.add_argument("--states", type=int, default=envs.RandomGameParams.n_states,
                         help="state count for --random")
-    parser.add_argument("--nu", type=int, default=3,
+    parser.add_argument("--nu", type=int, default=envs.RandomGameParams.n_u,
                         help="protagonist actions for --random")
-    parser.add_argument("--na", type=int, default=3,
+    parser.add_argument("--na", type=int, default=envs.RandomGameParams.n_a,
                         help="adversary actions for --random")
-    parser.add_argument("--hazard-frac", type=float, default=0.25,
+    parser.add_argument("--hazard-frac", type=float,
+                        default=envs.RandomGameParams.hazard_fraction,
                         help="hazard fraction for --random")
     parser.add_argument("--hazard", action="append", default=None,
                         metavar="X,Y", help="gridworld hazard cell (repeatable)")
     parser.add_argument("--goal", metavar="X,Y", default=None,
                         help="gridworld goal cell (default: opposite corner)")
-    parser.add_argument("--adv", type=int, choices=(0, 1), default=1,
+    parser.add_argument("--adv", type=int, choices=(0, 1),
+                        default=envs.GridworldParams.adversary_strength,
                         help="gridworld adversary push strength")
     parser.add_argument("--gamma", type=float, default=None,
                         help="override the performance discount")
@@ -308,8 +322,8 @@ def _resolve_game(args) -> Tuple[GameSpec, Optional[Tuple[int, int]]]:
 def cmd_solve(args) -> int:
     _require_positive(args, "m", "n", "tol", "max_iter")
     spec, grid_shape = _resolve_game(args)
-    cfg = dpi.DpiConfig(m=args.m, n=args.n, tol=args.tol)
-    result = dpi.run(spec, cfg, max_iter=args.max_iter)
+    cfg = dpi.DpiConfig(m=args.m, n=args.n, tol=args.tol, max_iter=args.max_iter)
+    result = dpi.run(spec, cfg)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -395,7 +409,7 @@ def _check_config_value(action: argparse.Action, value) -> None:
 
 
 def build_parser(config=None) -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="safegames",
         description="Tabular solver and verifier for constrained zero-sum "
                     "Markov games.",
@@ -416,7 +430,7 @@ def build_parser(config=None) -> argparse.ArgumentParser:
     p_solve.add_argument("--tol", type=float, default=dpi.DpiConfig.tol,
                          help="exit bound on the task table's residual "
                               "(safety solves are exact)")
-    p_solve.add_argument("--max-iter", type=int, default=safety.DEFAULT_MAX_ITER,
+    p_solve.add_argument("--max-iter", type=int, default=dpi.DpiConfig.max_iter,
                          help="improvement budget per player of the "
                               "safety policy iteration and sweep budget per "
                               "task evaluation")
@@ -424,7 +438,7 @@ def build_parser(config=None) -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run oracle cross-checks")
     _add_source_args(p_verify)
-    p_verify.add_argument("--pairs", type=int, default=200,
+    p_verify.add_argument("--pairs", type=int, default=verify.DEFAULT_PAIRS,
                           help="random pairs per operator property")
     p_verify.add_argument("--qh", metavar="PATH", default=None,
                           help="judge the invariant set of a stored safety "

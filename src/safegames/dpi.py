@@ -55,6 +55,7 @@ class DpiConfig:
     n: int = 2            # safety rounds per outer iteration
     tol: float = 1e-10    # exit bound on the task table's residual; safety
                           # solves are exact
+    max_iter: int = safety.DEFAULT_MAX_ITER  # improvement and sweep budget
 
 
 @dataclass
@@ -87,22 +88,23 @@ class DpiResult:
     invariant_set: safety.InvariantSet
 
 
-def run(spec: GameSpec, cfg: DpiConfig = DpiConfig(),
-        max_iter: int = safety.DEFAULT_MAX_ITER) -> DpiResult:
+def run(spec: GameSpec, cfg: DpiConfig = DpiConfig()) -> DpiResult:
     """Run the dual iteration and return the final artifacts plus the trace.
 
     The loop exits once a step's safety rounds switch nothing and the task
     table's residual under the restricted backup is at most ``cfg.tol``.
-    Raises InfeasibleGame when the returned invariant set is empty, and
-    propagates MaxIterExceeded from the safety side's improvement budgets
-    and the pair evaluations' sweep budget (all ``max_iter``).
+    Raises ValueError when ``cfg.m``, ``cfg.n`` or ``cfg.max_iter`` is below
+    1 or ``cfg.tol`` is not positive and finite, InfeasibleGame when the
+    returned invariant set is empty, and propagates MaxIterExceeded from
+    each player's improvement budget in the safety policy iteration and
+    the pair evaluations' sweep budget (all ``cfg.max_iter``).
     """
-    if cfg.m < 1 or cfg.n < 1:
-        raise ValueError("m and n must be at least 1")
+    if min(cfg.m, cfg.n, cfg.max_iter) < 1:
+        raise ValueError("m, n and max_iter must be at least 1")
     if not 0.0 < cfg.tol < np.inf:
         raise ValueError("tol must be positive and finite")
 
-    safety_steps = safety.policy_iteration(spec, max_iter)
+    safety_steps = safety.policy_iteration(spec, cfg.max_iter)
     pi_h, q_h = next(safety_steps)
     w = np.zeros(spec.n_states)
     trace = DpiTrace()
@@ -123,7 +125,7 @@ def run(spec: GameSpec, cfg: DpiConfig = DpiConfig(),
             newton, games = 0.0, perf.restricted_games(spec, w, rows)
         else:
             w, newton, games = perf.newton_step(
-                spec, rows, w, games, cfg.tol, max_iter, first=k == 1)
+                spec, rows, w, games, cfg.tol, cfg.max_iter, first=k == 1)
         q, s, _, values, residual = games
 
         if prev_q_h is None:

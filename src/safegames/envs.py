@@ -20,8 +20,6 @@ class RandomGameParams:
     n_a: int = 3
     hazard_fraction: float = 0.25
     seed: int = 0
-    gamma: float = 0.95
-    gamma_h: float = 0.99
 
 
 def random_game(params: RandomGameParams) -> GameSpec:
@@ -48,8 +46,7 @@ def random_game(params: RandomGameParams) -> GameSpec:
     constraint[hazard] = -1.0
 
     return GameSpec(params.n_states, params.n_u, params.n_a,
-                    transition, reward, constraint,
-                    gamma=params.gamma, gamma_h=params.gamma_h)
+                    transition, reward, constraint)
 
 
 @dataclass(frozen=True)
@@ -59,8 +56,6 @@ class GridworldParams:
     hazard_cells: Tuple[Tuple[int, int], ...] = ((0, 0),)
     goal_cell: Tuple[int, int] = (3, 3)
     adversary_strength: int = 1  # 0: pushes have no effect, 1: push one cell
-    gamma: float = 0.95
-    gamma_h: float = 0.99
 
 
 def gridworld(params: GridworldParams) -> GameSpec:
@@ -114,5 +109,4 @@ def gridworld(params: GridworldParams) -> GameSpec:
     for hx, hy in hazards:
         np.minimum(dist, np.maximum(np.abs(cx - hx), np.abs(cy - hy)), out=dist)
 
-    return GameSpec(n_states, n_u, n_a, transition, reward, dist - 1,
-                    gamma=params.gamma, gamma_h=params.gamma_h)
+    return GameSpec(n_states, n_u, n_a, transition, reward, dist - 1)

@@ -156,8 +156,11 @@ def solve(spec: GameSpec, pi_h: Optional[DetPolicy] = None,
     Actions switch only on strict improvement, to the lowest best index, so
     runs are bit-reproducible.  More than ``max_iter`` improvements of
     either player raise MaxIterExceeded, whose residual is the last table's
-    move under one more backup.
+    move under one more backup; 0 allows none, and a negative ``max_iter``
+    raises ValueError.
     """
+    if max_iter < 0:
+        raise ValueError("max_iter must be nonnegative")
     if pi_h is None:
         for _, q in policy_iteration(spec, max_iter):
             pass
@@ -180,7 +183,10 @@ def policy_iteration(spec: GameSpec, max_iter: int = DEFAULT_MAX_ITER
     """Yield ``(pi_h, solve(spec, pi_h))`` from the all-zeros policy on,
     each policy ``improve_policy`` of the last, up to the first greedy on
     its own table, whose table is the max-min one.  Raises MaxIterExceeded
-    after ``max_iter`` improvements."""
+    after ``max_iter`` improvements, and ValueError on the first step when
+    ``max_iter`` is negative."""
+    if max_iter < 0:
+        raise ValueError("max_iter must be nonnegative")
     pi_h = DetPolicy.constant(spec.n_states, 0, PROTAGONIST)
     for _ in range(max_iter + 1):
         q = solve(spec, pi_h, max_iter)

@@ -26,6 +26,8 @@ from .game import ADVERSARY, PROTAGONIST, DetPolicy, GameSpec, MixedPolicy
 _FLOAT_SLACK = 1e-12
 _BLOCK = 16  # pairs per union game of the operator checks; bounds memory
 INCLUSION_POLICIES = 10  # random protagonist policies of set inclusion
+DEFAULT_PAIRS = 200  # random table pairs per operator check
+AGREEMENT_ATOL = 1e-7  # induced agreement's floor on its tolerance
 
 
 @dataclass(frozen=True)
@@ -95,7 +97,8 @@ def _monotonicity_drop(op, _gamma, q, d, peak):
     return peak(op(q - d) - op(q))
 
 
-def contraction_check(spec: GameSpec, pairs: int = 200, seed: int = 0) -> PropertyResult:
+def contraction_check(spec: GameSpec, pairs: int = DEFAULT_PAIRS,
+                      seed: int = 0) -> PropertyResult:
     """Every backup shrinks sup-norm distances by its discount factor."""
     worst, violations, n_ops = _operator_check(
         spec, pairs, seed, (-2.0, 2.0), _contraction_excess)
@@ -104,7 +107,8 @@ def contraction_check(spec: GameSpec, pairs: int = 200, seed: int = 0) -> Proper
         f"{pairs} pairs x {n_ops} operators, worst excess {worst:.2e}")
 
 
-def monotonicity_check(spec: GameSpec, pairs: int = 200, seed: int = 0) -> PropertyResult:
+def monotonicity_check(spec: GameSpec, pairs: int = DEFAULT_PAIRS,
+                       seed: int = 0) -> PropertyResult:
     """q >= q' pointwise implies T(q) >= T(q') pointwise for every backup."""
     worst, violations, n_ops = _operator_check(
         spec, pairs, seed, (0.0, 1.0), _monotonicity_drop)
@@ -152,8 +156,7 @@ def forward_invariance_check(spec: GameSpec,
 
 def induced_agreement_check(spec: GameSpec,
                             engine: Optional[dpi.DpiResult],
-                            tol: float = dpi.DpiConfig.tol,
-                            atol: float = 1e-7) -> PropertyResult:
+                            tol: float = dpi.DpiConfig.tol) -> PropertyResult:
     """The task table ``solve`` ships must match the standalone induced-game
     solve on the member cells of its invariant set.
 
@@ -162,8 +165,8 @@ def induced_agreement_check(spec: GameSpec,
     One constrained backup of the oracle's table (strategy iteration to
     ``tol``) gives the oracle's rho, and the gamma-contraction puts a table
     within rho / (1 - gamma) of the fixed point, so the tables agree when
-    their gap is at most max(atol, (rho_engine + rho_oracle + 8 * eps * M)
-    / (1 - gamma)).
+    their gap is at most max(``AGREEMENT_ATOL``, (rho_engine + rho_oracle
+    + 8 * eps * M) / (1 - gamma)).
 
     The last term is the rounding of the two residuals, which are computed
     in doubles: one can read 0 while its table sits a few ulps off the
@@ -186,7 +189,7 @@ def induced_agreement_check(spec: GameSpec,
     cells = np.broadcast_to(inv.admissible[:, :, None], spec.shape)
     rounding = 8 * np.finfo(float).eps * float(
         np.abs(independent[cells]).max())
-    bound = max(atol,
+    bound = max(AGREEMENT_ATOL,
                 (rho_engine + rho_oracle + rounding) / (1.0 - spec.gamma))
     gap = float(np.abs((engine.q - independent)[cells]).max())
     exhausted = ", budget exhausted" if trace.budget_exhausted else ""
@@ -197,7 +200,7 @@ def induced_agreement_check(spec: GameSpec,
         f"{rho_engine:.2e}; oracle residual {rho_oracle:.2e}")
 
 
-def run_all(spec: GameSpec, pairs: int = 200, seed: int = 0,
+def run_all(spec: GameSpec, pairs: int = DEFAULT_PAIRS, seed: int = 0,
             q_h: Optional[np.ndarray] = None,
             tol: float = dpi.DpiConfig.tol) -> List[PropertyResult]:
     """Run every cross-check.  After the operator checks, ``dpi.run`` with

@@ -1,10 +1,18 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from safegames import GameSpec
 from safegames.envs import RandomGameParams, random_game
+
+# One profile for every property test: derandomized draws, no example
+# database and no deadline; a test's own @settings still override it.
+settings.register_profile("tier1", derandomize=True, database=None,
+                          deadline=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture
@@ -93,13 +101,13 @@ def chain():
                     gamma=0.95, gamma_h=0.9)
 
 
-def make_random_spec(seed, n_states=8, n_u=3, n_a=3, hazard_fraction=0.25,
-                     gamma=0.95, gamma_h=0.99):
-    return random_game(RandomGameParams(
-        n_states=n_states, n_u=n_u, n_a=n_a,
-        hazard_fraction=hazard_fraction, seed=seed,
-        gamma=gamma, gamma_h=gamma_h))
-
+def make_random_spec(seed, **fields):
+    """``random_game(RandomGameParams(seed=seed, **fields))``, except that a
+    ``gamma`` or ``gamma_h`` in ``fields`` replaces the spec's, as the CLI's
+    --gamma and --gamma-h do."""
+    discounts = {k: fields.pop(k) for k in ("gamma", "gamma_h") if k in fields}
+    return dataclasses.replace(
+        random_game(RandomGameParams(seed=seed, **fields)), **discounts)
 
 
 def save_game(spec, path, labels=None):

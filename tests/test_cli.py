@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import io
 import json
 import tracemalloc
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from safegames import cli, dpi, matrix_game, oracle, safety
+from safegames import cli, dpi, matrix_game, oracle, safety, verify
 from safegames.cli import SchemaError, load_game
 from safegames.envs import (GridworldParams, RandomGameParams,
                              gridworld, random_game)
@@ -421,9 +422,9 @@ def test_sweep_writes_the_exact_tables(capsys):
                      for x, u, a in np.ndindex(spec.shape)]
     assert rows == expected
     # --tol went with the value iteration it stopped
-    with pytest.raises(SystemExit) as usage:
-        cli.main(["sweep", "--random", "--tol", "1e-10"])
-    assert usage.value.code == 2
+    assert cli.main(["sweep", "--random", "--tol", "1e-10"]) == 1
+    assert capsys.readouterr().err == (
+        "error: safegames: unrecognized arguments: --tol 1e-10\n")
 
 
 def test_config_file_precedence(tmp_path):
@@ -484,9 +485,9 @@ def test_config_rejects_keys_no_command_knows(tmp_path, capsys):
     config.write_text(json.dumps({"enum": True}))
     assert cli.main(["--config", str(config), "verify", "--random"]) == 1
     assert "unknown config keys: enum" in capsys.readouterr().err
-    with pytest.raises(SystemExit) as usage:
-        cli.main(["verify", "--random", "--enum"])
-    assert usage.value.code == 2
+    assert cli.main(["verify", "--random", "--enum"]) == 1
+    assert capsys.readouterr().err == (
+        "error: safegames: unrecognized arguments: --enum\n")
     # a key only another subcommand uses is accepted
     config.write_text(json.dumps({"seed": 7, "gammas": "0.9"}))
     assert cli.main(["--config", str(config), "solve", "--random",
@@ -761,10 +762,139 @@ def test_config_run_builds_its_own_parser_without_leaking(
 
 
 def test_usage_error_leaves_the_cached_parser_usable(parser_builds, capsys):
-    with pytest.raises(SystemExit) as usage:
-        cli.main(["solve", "--no-such-flag"])
-    assert usage.value.code == 2
+    assert cli.main(["solve", "--no-such-flag"]) == 1
+    assert capsys.readouterr().err.startswith("error: safegames solve: ")
     assert cli.main(_SWEEP + ["--states", "4"]) == 0
     assert _swept_states(capsys) == 4
     info = cli._default_parser.cache_info()
     assert (info.misses, info.hits) == (1, 1)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--random", "--seed", "abc", "--out", "o"],
+     "safegames solve: argument --seed: invalid int value: 'abc'"),
+    (["verify", "--random", "--pairs", "1.5"],
+     "safegames verify: argument --pairs: invalid int value: '1.5'"),
+    (["solve", "--random", "--adv", "2", "--out", "o"],
+     "safegames solve: argument --adv: invalid choice: 2 (choose from 0, 1)"),
+    (["solve", "--random", "--bogus", "--out", "o"],
+     "safegames: unrecognized arguments: --bogus"),
+    ([], "safegames: the following arguments are required: command"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_usage_errors_exit_1_with_one_error_line(capsys, argv, message):
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
+def test_help_still_exits_0(capsys):
+    for argv in (["--help"], ["verify", "--help"]):
+        with pytest.raises(SystemExit) as usage:
+            cli.main(argv)
+        assert usage.value.code == 0
+    assert "--pairs" in capsys.readouterr().out
+
+
+def test_each_flag_default_is_its_owners_value():
+    parse = cli.build_parser().parse_args
+    solve = parse(["solve", "--random", "--out", "o"])
+    verify_args = parse(["verify", "--random"])
+    cfg, random, grid = dpi.DpiConfig(), RandomGameParams(), GridworldParams()
+    assert ((solve.m, solve.n, solve.tol, solve.max_iter)
+            == (cfg.m, cfg.n, cfg.tol, cfg.max_iter))
+    for args in (solve, verify_args):
+        assert ((args.states, args.nu, args.na, args.hazard_frac)
+                == (random.n_states, random.n_u, random.n_a,
+                    random.hazard_fraction))
+        assert args.adv == grid.adversary_strength
+    assert verify_args.pairs == verify.DEFAULT_PAIRS
+    assert verify_args.tol == cfg.tol
+    # the copies are gone: discounts belong to GameSpec, budgets to DpiConfig
+    for params in (RandomGameParams, GridworldParams):
+        names = {f.name for f in dataclasses.fields(params)}
+        assert not names & {"gamma", "gamma_h"}
+    assert "max_iter" not in inspect.signature(dpi.run).parameters
+    assert "atol" not in inspect.signature(
+        verify.induced_agreement_check).parameters
+
+
+@pytest.mark.parametrize("name, content, message", [
+    ("qh", "x,u,a,value\n0,0,abc,0.5\n", None),
+    ("qh", "x,u,a,value\n0,0,0,nan\n", "non-finite entry"),
+    ("qh", "x,u,a,value\n0,0,0.5,0.5\n", "cell indices must be integers"),
+    ("game", "[1, 2]", "top-level JSON value must be an object"),
+], ids=["qh-not-a-number", "qh-nan", "qh-fractional-index", "game-list"])
+def test_malformed_input_files_exit_1_with_their_message(
+        tmp_path, capsys, name, content, message):
+    path = tmp_path / ("qh.csv" if name == "qh" else "g.json")
+    path.write_text(content)
+    source = (["--grid", "4x4", "--qh", str(path)] if name == "qh"
+              else ["--game", str(path)])
+    assert cli.main(["verify", "--pairs", "1"] + source) == 1
+    err = capsys.readouterr().err
+    if name == "qh":
+        assert err.startswith(f"error: {path}: ")
+    if message is None:  # numpy's own words for the cell it could not read
+        assert "could not convert" in err
+    else:
+        assert err.endswith(f"{message}\n") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("n_states", 0, "n_states must be positive; transition shape (2, 2, 2) "
+     "!= (0, 2, 2); reward shape (2, 2, 2) != (0, 2, 2); constraint shape "
+     "(2,) != (0,)"),
+    ("n_u", 0, "n_u must be positive; transition shape (2, 2, 2) != "
+     "(2, 0, 2); reward shape (2, 2, 2) != (2, 0, 2)"),
+    ("n_a", -1, "n_a must be positive; transition shape (2, 2, 2) != "
+     "(2, 2, -1); reward shape (2, 2, 2) != (2, 2, -1)"),
+    ("h", [1.0, -1.0, 2.0], "constraint shape (3,) != (2,)"),
+])
+def test_spec_count_and_shape_errors_exit_1(tmp_path, capsys, field, value,
+                                            message):
+    path = tmp_path / "g.json"
+    _write_g3(path)
+    data = json.loads(path.read_text())
+    data[field] = value
+    path.write_text(json.dumps(data))
+    assert cli.main(["solve", "--game", str(path),
+                     "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_goal_outside_the_grid_exits_1(tmp_path, capsys):
+    assert cli.main(["solve", "--grid", "4x4", "--goal", "9,9",
+                     "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: goal cell outside the grid\n"
+
+
+def test_protagonist_budget_exits_3(tmp_path, capsys):
+    assert cli.main(["solve", "--random", "--seed", "8", "--max-iter", "1",
+                     "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("iteration budget exhausted: residual ")
+    assert err.endswith(" after 1 protagonist improvements\n")
+
+
+@pytest.mark.parametrize("budget, seed, message", [
+    (1, 1, "adversary best response still switching after 1 policy "
+     "iterations"),
+    (1, 8, "after 1 iterations"),
+    (3, 20, "adversary best response still switching after 3 policy "
+     "iterations"),
+    (3, 18, "after 3 iterations"),
+])
+def test_induced_oracle_budgets_exit_3(monkeypatch, capsys, budget, seed,
+                                       message):
+    # On 8-state 2x2 random games a budget of 1 or 3 runs out in the
+    # adversary's best response on some seeds and in the outer strategy
+    # iteration on others.
+    monkeypatch.setattr(oracle, "INDUCED_MAX_ITER", budget)
+    assert cli.main(["verify", "--random", "--seed", str(seed), "--nu", "2",
+                     "--na", "2", "--pairs", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("iteration budget exhausted: ")
+    assert err.endswith(f"{message}\n")
+    if "adversary" not in message:
+        assert err.startswith("iteration budget exhausted: induced game "
+                              "residual ")

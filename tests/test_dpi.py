@@ -223,3 +223,14 @@ def test_config_validation(g1):
     for tol in (np.inf, np.nan):
         with pytest.raises(ValueError):
             dpi.run(spec, DpiConfig(tol=tol))
+
+
+@pytest.mark.parametrize("max_iter", [0, -3])
+def test_config_rejects_a_budget_below_one(max_iter):
+    with pytest.raises(ValueError, match="max_iter must be at least 1"):
+        dpi.run(make_random_spec(1), DpiConfig(max_iter=max_iter))
+
+
+def test_config_budget_reaches_the_safety_side():
+    with pytest.raises(MaxIterExceeded, match="protagonist improvements"):
+        dpi.run(make_random_spec(8), DpiConfig(max_iter=1))

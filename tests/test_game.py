@@ -107,6 +107,11 @@ def test_mixed_policy_validation():
     assert (point.prob > 0).sum() == 2
 
 
+def test_mixed_policy_rejects_a_one_dimensional_table():
+    with pytest.raises(ValueError, match="prob must be a"):
+        MixedPolicy(np.array([0.5, 0.5]))
+
+
 def test_det_policy_role_check():
     with pytest.raises(ValueError):
         DetPolicy(np.zeros(2, dtype=int), role="referee")

@@ -21,6 +21,14 @@ import shapley_reference
 import value_iteration
 
 
+def test_property_tests_run_under_the_deterministic_profile():
+    # conftest loads it, so a @given test that sets nothing still draws the
+    # same examples on every run and stores none
+    assert settings.default.derandomize
+    assert settings.default.database is None
+    assert settings.default.deadline is None
+
+
 @st.composite
 def games(draw, max_actions=3, rewarded=False, min_actions=1):
     """Games of at most five states and ``min_actions`` to ``max_actions``

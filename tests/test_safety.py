@@ -122,6 +122,27 @@ def test_fixed_point_budget_exhaustion():
     assert err.value.residual > 1e-10
 
 
+def test_protagonist_budget_exhaustion():
+    # One protagonist improvement is too few for this game.
+    with pytest.raises(MaxIterExceeded,
+                       match="after 1 protagonist improvements") as err:
+        safety.solve(make_random_spec(8), max_iter=1)
+    assert err.value.iterations == 1 and err.value.residual > 0.0
+
+
+def test_negative_budget_is_rejected_and_zero_allows_no_improvement(g1, g2):
+    pi_h = DetPolicy.constant(2, 0, PROTAGONIST)
+    for call in (lambda: safety.solve(g2, max_iter=-3),
+                 lambda: safety.solve(g2, pi_h, max_iter=-1),
+                 lambda: next(safety.policy_iteration(g2, -1))):
+        with pytest.raises(ValueError, match="max_iter must be nonnegative"):
+            call()
+    # g1 has one action per player, so it needs no improvement at all
+    assert np.array_equal(safety.solve(g1, max_iter=0), safety.solve(g1))
+    with pytest.raises(MaxIterExceeded):
+        safety.solve(make_random_spec(8), max_iter=0)
+
+
 def test_fixed_point_rejects_bad_tol(g1):
     with pytest.raises(ValueError):
         safety.fixed_point(lambda q: q, np.zeros((1, 1, 1)), tol=0.0)
