@@ -11,8 +11,9 @@ Exit codes: 0 success, 1 usage error (a malformed or unknown flag, printed
 as ``error: <prog>: ...``), I/O, schema or flag-value error, or a numerical
 failure of a matrix-game LP (printed as ``error: numerical failure: ...``),
 2 infeasible game (the returned invariant set is empty), 3 a player's
-improvement budget in the safety policy iteration or a task evaluation's
-sweep budget ran out (a task discount near 1 can exhaust the latter), or
+improvement budget in the safety policy iteration or the sweep budget of a
+mixed task strategy pair's evaluation ran out (a task discount near 1 can
+exhaust the latter; a pure pair is evaluated exactly, without sweeps), or
 in ``verify`` the induced-game oracle's fixed budget of 1,000 strategy
 iterations did (``oracle.INDUCED_MAX_ITER``),
 4 verification property failed.
@@ -433,7 +434,9 @@ def build_parser(config=None) -> argparse.ArgumentParser:
     p_solve.add_argument("--max-iter", type=int, default=dpi.DpiConfig.max_iter,
                          help="improvement budget per player of the "
                               "safety policy iteration and sweep budget per "
-                              "task evaluation")
+                              "evaluation of a mixed task strategy pair (a "
+                              "pure pair is evaluated exactly, without "
+                              "sweeps)")
     p_solve.set_defaults(func=cmd_solve)
 
     p_verify = sub.add_parser("verify", help="run oracle cross-checks")

@@ -19,7 +19,9 @@ the task policy (a point mass on the safety action off the member set),
 and the values give the table's residual ||r + gamma * value[x'] - q||
 under the restricted backup.  The step after it is one safeguarded Newton
 step of Pollatschek and Avi-Itzhak (1969), ``perf.newton_step``: the pair
-of row and column strategies is evaluated from the current w.  Every step
+of row and column strategies is evaluated: exactly, by pointer doubling,
+when both are pure at every state (as on the push grids), and otherwise by
+sweeps from the current w.  Every step
 after the first one, from w = 0, passes the safeguard whether or not its
 safety rounds switched actions: it must contract the residual by gamma, or
 it is shortened and at last replaced by one restricted backup.  The
@@ -97,7 +99,8 @@ def run(spec: GameSpec, cfg: DpiConfig = DpiConfig()) -> DpiResult:
     1 or ``cfg.tol`` is not positive and finite, InfeasibleGame when the
     returned invariant set is empty, and propagates MaxIterExceeded from
     each player's improvement budget in the safety policy iteration and
-    the pair evaluations' sweep budget (all ``cfg.max_iter``).
+    the sweep budget of each mixed pair's evaluation (all
+    ``cfg.max_iter``); a pure pair takes no sweeps.
     """
     if min(cfg.m, cfg.n, cfg.max_iter) < 1:
         raise ValueError("m, n and max_iter must be at least 1")

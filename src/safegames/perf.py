@@ -17,8 +17,10 @@ their admissible actions, every other state one fixed row, so its fixed
 point is the constrained one on member states of a closed set.  Its table
 is r + gamma * w[x'] for a state vector w.  ``restricted_games`` solves its
 matrix games on such a table in one LP batch, ``evaluate_pair`` gives the
-state values of the batch's pair of mixed strategies, and ``newton_step``
-turns them into one safeguarded Newton step.  The dual iteration takes one
+state values of the batch's pair of mixed strategies (exactly, by the
+safety side's pointer doubling, when both are pure at every state; by
+sweeps otherwise), and ``newton_step`` turns them into one safeguarded
+Newton step.  The dual iteration takes one
 such step per outer step.
 """
 
@@ -31,7 +33,7 @@ import numpy as np
 from . import matrix_game
 from .errors import NonMemberSuccessor
 from .game import GameSpec, MixedPolicy
-from .safety import InvariantSet, fixed_point
+from .safety import InvariantSet, chain_values, fixed_point
 
 
 def pair_backup(q: np.ndarray, spec: GameSpec,
@@ -78,18 +80,30 @@ def constrained_backup(q: np.ndarray, spec: GameSpec, inv: InvariantSet) -> np.n
 def evaluate_pair(spec: GameSpec, row: np.ndarray, column: np.ndarray,
                   v0: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
     """State values of a fixed pair of mixed strategies, row (n_states, n_u)
-    against column (n_states, n_a), by ``fixed_point`` sweeps from ``v0``.
+    against column (n_states, n_a).
 
-    Each sweep is v(x) <- sum over u, a of row(x, u) * column(x, a) *
-    (reward + gamma * v(x')), taken over the pair's support only.  Sweeps
-    stop at a move of at most ``tol`` or where rounding stalls them.
-    Raises MaxIterExceeded after ``max_iter`` sweeps without stopping.
+    When every state's pair is a point mass (u*, a*), each state has one
+    successor x' = f(x, u*, a*) and its value obeys v(x) = r(x, u*, a*) +
+    gamma * v(x'): ``safety.chain_values`` solves that exactly, with no
+    sweeps.  Otherwise ``fixed_point`` sweeps from ``v0``, each
+    v(x) <- sum over u, a of row(x, u) * column(x, a) * (reward + gamma *
+    v(x')) over the pair's support, stopped at a move of at most ``tol`` or
+    where rounding stalls them.  Raises MaxIterExceeded after ``max_iter``
+    sweeps without stopping, and ValueError for a ``tol`` that is not
+    positive or a negative ``max_iter``, whichever path the pair takes.
     """
+    if tol <= 0.0:
+        raise ValueError("tol must be positive")
+    if max_iter < 0:
+        raise ValueError("max_iter must be nonnegative")
     weight = row[:, :, None] * column[:, None, :]
     x, u, a = np.nonzero(weight)
     weight = weight[x, u, a]
     successor = spec.transition[x, u, a]
     n = spec.n_states
+    if np.array_equal(x, np.arange(n)) and (weight == 1.0).all():
+        return chain_values(np.full(n, np.inf), spec.reward[x, u, a],
+                            successor, spec.gamma)
     gain = np.bincount(x, weight * spec.reward[x, u, a], minlength=n)
     return fixed_point(
         lambda v: gain + spec.gamma * np.bincount(x, weight * v[successor],
@@ -128,10 +142,11 @@ def newton_step(spec: GameSpec, rows: np.ndarray, w: np.ndarray,
     may be an earlier one).
 
     The step of Pollatschek and Avi-Itzhak (1969) evaluates the pair of row
-    and column strategies of ``games`` by ``evaluate_pair`` from ``w``, to
-    a sweep move of max(tol, 1e-3 * residual), or of tol on the ``first``
-    step, from w = 0, where on a game without choices that one evaluation
-    is the answer; sweeps also stop where rounding stalls them.  The first
+    and column strategies of ``games`` by ``evaluate_pair``: a pure pair
+    exactly, a mixed one by sweeps from ``w`` to a move of max(tol, 1e-3 *
+    residual), or of tol on the ``first`` step, from w = 0, where on a game
+    without choices that one evaluation is the answer; sweeps also stop
+    where rounding stalls them.  The first
     step is taken in full: the zero start is no table to protect.  After
     it, a safeguard in the spirit of Filar and Tolwinski (1991) accepts a
     step only when its residual is at most gamma times that of ``games``:

@@ -17,8 +17,9 @@ uses pi_h(x') and mu_h(x').
 deterministic policies of both players fixed, every state x has one
 successor g(x) and its value obeys v(x) = min(h(x), (1 - gamma_h) h(x) +
 gamma_h v(g(x))).  Maps y -> min(A, B + c y) compose into maps of the same
-form, so pointer doubling evaluates every state in about
-log2(37 / (1 - gamma_h)) vector steps (16 at gamma_h = 0.999).  The
+form, so pointer doubling (``chain_values``) evaluates every state in about
+log2(37 / (1 - gamma_h)) vector steps (16 at gamma_h = 0.999).  The task
+side's pure strategy pairs use the same kernel with A = +inf.  The
 bit-exact finish after it costs more: one pass per orbit step on which a
 bit still changes.  A max-min solve needed at most 13 such passes per
 evaluation on a 300-state random game at gamma_h = 0.999, 12 on the 32x32
@@ -28,8 +29,8 @@ of it ``solve(spec, pi_h)`` runs the adversary's policy iteration, and
 ``solve(spec)`` returns that iteration's last table and ``dpi.run`` takes
 its steps, so the two share every bit.  No solve is warm-started.
 ``fixed_point`` is plain value iteration of any contraction, stopped at a
-tolerance or where rounding stalls it; the task side's pair evaluation
-(``perf.evaluate_pair``) uses it.
+tolerance or where rounding stalls it; the task side's evaluation of a
+mixed strategy pair (``perf.evaluate_pair``) uses it.
 """
 
 from __future__ import annotations
@@ -90,10 +91,13 @@ def fixed_point(op: Callable[[np.ndarray], np.ndarray], q0: np.ndarray,
     it.  The stalled sweep counts in ``iterations`` and its move is the
     ``residual``, but its result is not taken.  Raises MaxIterExceeded
     after ``max_iter`` sweeps without stopping (typically the discount is
-    too close to 1 for the budget).
+    too close to 1 for the budget), and ValueError for a ``tol`` that is not
+    positive or a negative ``max_iter``.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
+    if max_iter < 0:
+        raise ValueError("max_iter must be nonnegative")
     q = np.asarray(q0, dtype=np.float64)
     last = np.inf
     for it in range(1, max_iter + 1):
@@ -114,19 +118,27 @@ def fixed_point(op: Callable[[np.ndarray], np.ndarray], q0: np.ndarray,
 _ROUNDING = 2.0 ** -53
 
 
-def _evaluate(spec: GameSpec, succ: np.ndarray) -> np.ndarray:
-    """State values of a fixed policy pair whose successor map is ``succ``.
+def chain_values(cap: np.ndarray, gain: np.ndarray, succ: np.ndarray,
+                 discount: float) -> np.ndarray:
+    """Values v of the chain v(x) = min(cap(x), gain(x) + discount *
+    v(succ(x))), by pointer doubling; ``cap`` may be +inf.
 
-    Each doubling pass composes every state's map y -> min(a, b + c y) with
-    its successor's, doubling the horizon covered; the tail past the last
+    Each pass composes every state's map y -> min(a, b + c y) with its
+    successor's, doubling the horizon covered; the tail past the last
     horizon carries weight below double rounding and is dropped.
     """
-    h = spec.constraint
-    tail = (1.0 - spec.gamma_h) * h
-    a, b, g, c = h, tail, succ, spec.gamma_h
+    a, b, g, c = cap, gain, succ, discount
     while c > _ROUNDING:
         a, b, g, c = np.minimum(a, b + c * a[g]), b + c * b[g], g[g], c * c
-    v = np.minimum(a, b)
+    return np.minimum(a, b)
+
+
+def _evaluate(spec: GameSpec, succ: np.ndarray) -> np.ndarray:
+    """State values of a fixed policy pair whose successor map is ``succ``:
+    ``chain_values`` capped at h, then a bit-exact finish."""
+    h = spec.constraint
+    tail = (1.0 - spec.gamma_h) * h
+    v = chain_values(h, tail, succ, spec.gamma_h)
     # Doubling rounds differently from the backup.  Finish with the backup's
     # own one-step map until it repeats bit for bit (a change moves one orbit
     # step per pass), so the table is a float fixed point.  Membership needs

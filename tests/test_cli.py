@@ -180,10 +180,13 @@ def test_solve_reproducible_byte_identical(tmp_path):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
 
-def test_solve_max_iter_exit_code(tmp_path):
-    code = cli.main(["solve", "--random", "--seed", "3", "--states", "6",
+def test_solve_max_iter_exit_code(tmp_path, capsys):
+    # Seed 1's evaluated pairs mix, so they sweep and run out of sweeps; a
+    # pure pair is evaluated exactly and takes none.
+    code = cli.main(["solve", "--random", "--seed", "1", "--states", "6",
                      "--max-iter", "5", "--out", str(tmp_path / "x")])
     assert code == 3
+    assert capsys.readouterr().err.endswith(" after 5 sweeps\n")
 
 
 def test_solve_missing_source_is_schema_error(tmp_path):

@@ -88,6 +88,19 @@ def test_safety_side_is_the_max_min_solve_on_the_grid_ladder():
         assert np.array_equal(improved.action, result.pi_h.action), k
 
 
+def test_push_grid_converges_near_discount_one():
+    # Every evaluated pair on the grid is pure, so each Newton step's
+    # evaluation is exact.  Sweeps to an absolute move left an error of up
+    # to gamma * tol / (1 - gamma) here and ran all 30 steps out.
+    spec = dataclasses.replace(gridworld(GridworldParams(
+        width=32, height=32, hazard_cells=push_grid_hazards(),
+        goal_cell=(31, 31))), gamma=0.9999)
+    trace = dpi.run(spec).trace
+    assert not trace.budget_exhausted
+    assert len(trace.steps) <= 5
+    assert trace.steps[-1].task_residual <= DpiConfig.tol
+
+
 def test_monotone_chain_in_trace():
     for seed in (2, 5):
         spec = make_random_spec(seed)
@@ -209,6 +222,16 @@ def test_pair_evaluation_stops_when_rounding_stalls_it():
     with pytest.raises(MaxIterExceeded):
         perf.evaluate_pair(spec, row, column, np.zeros(6), tol=1e-10,
                            max_iter=5)
+
+
+def test_pair_evaluation_rejects_a_negative_budget():
+    # on a pure pair, which takes no sweeps, and on a mixed one
+    spec = make_random_spec(3, n_states=6, n_u=2, n_a=2)
+    for p in (1.0, 0.5):
+        row = np.tile([p, 1.0 - p], (6, 1))
+        with pytest.raises(ValueError, match="max_iter must be nonnegative"):
+            perf.evaluate_pair(spec, row, row, np.zeros(6), tol=1e-10,
+                               max_iter=-3)
 
 
 def test_config_validation(g1):

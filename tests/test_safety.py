@@ -148,6 +148,14 @@ def test_fixed_point_rejects_bad_tol(g1):
         safety.fixed_point(lambda q: q, np.zeros((1, 1, 1)), tol=0.0)
 
 
+def test_fixed_point_rejects_a_negative_budget():
+    with pytest.raises(ValueError, match="max_iter must be nonnegative"):
+        safety.fixed_point(lambda q: q / 2, np.ones(1), max_iter=-3)
+    # zero allows no sweep
+    with pytest.raises(MaxIterExceeded, match="after 0 sweeps"):
+        safety.fixed_point(lambda q: q / 2, np.ones(1), max_iter=0)
+
+
 def test_fixed_point_stops_where_rounding_stalls_it():
     # q -> 1e12 - q / 2 contracts toward 2e12 / 3, where one ulp is 2**-13,
     # far above tol: its sweeps end in a rounding two-cycle, not at tol.

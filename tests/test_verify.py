@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import re
 import tracemalloc
 from collections import Counter
 
@@ -276,12 +277,18 @@ def test_induced_agreement_passes_at_every_reward_scale(monkeypatch, scale):
 @pytest.mark.parametrize("seed", [2, 5, 8, 10])
 def test_induced_agreement_passes_at_large_reward_scales(seed, scale):
     # At 1e8 seeds 2, 8 and 10 fail a tolerance without the rounding of the
-    # two residuals, which read 0 or a few ulps.
+    # two residuals, which read 0 or a few ulps.  Seeds 5, 8 and 10 end on
+    # pure strategy pairs, whose exact evaluation meets the absolute tol;
+    # seed 2 still runs out its step budget a few ulps above it.
     base = make_random_spec(seed, n_states=8, n_u=2, n_a=2)
     spec = dataclasses.replace(base, reward=scale * base.reward)
     result = _induced_agreement(spec)
     assert result.passed, result.detail
-    assert "budget exhausted" in result.detail
+    if seed == 2:
+        assert "engine 30 outer steps, budget exhausted" in result.detail
+    else:
+        steps = re.search(r"engine (\d+) outer steps, residual", result.detail)
+        assert steps and int(steps.group(1)) < 30, result.detail
 
 
 def test_induced_agreement_passes_where_a_strict_switch_cycles():
